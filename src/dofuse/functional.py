@@ -7,7 +7,8 @@ term reuse the child expression unchanged. Bound variables are introduced
 by ``SumOver`` nodes; the same vertex name may be rebound in disjoint
 scopes, and rendering disambiguates shadowed names with primes. Trees built
 from derivation backtracking share subterms, so traversals memoize by node
-identity.
+identity. ``transform`` is the one memoized bottom-up mapper over these
+trees; the lifts through clustering and pruning are callbacks on it.
 """
 
 from __future__ import annotations
@@ -87,6 +88,36 @@ def free_variables(node, _memo=None) -> frozenset:
         raise TypeError(f"not a functional node: {node!r}")
     _memo[id(node)] = out
     return out
+
+
+def with_children(node, kids):
+    """Node rebuilt over new children, in ``_children`` order; leaves as is."""
+    if isinstance(node, InputRef):
+        return node
+    if isinstance(node, (SumOver, Pinned)):
+        return type(node)(node.vars, kids[0])
+    if isinstance(node, Product):
+        return Product(tuple(kids))
+    if isinstance(node, Quotient):
+        return Quotient(*kids)
+    raise TypeError(f"not a functional node: {node!r}")
+
+
+def transform(node, fn):
+    """Bottom-up map: ``fn(node, kids)`` gets node and its children already mapped.
+
+    Memoized by node identity, so a subterm shared across the tree is mapped
+    once and its image is shared the same way.
+    """
+    memo: dict = {}
+
+    def walk(n):
+        got = memo.get(id(n))
+        if got is None:
+            got = memo[id(n)] = fn(n, tuple(walk(c) for c in _children(n)))
+        return got
+
+    return walk(node)
 
 
 def node_count(node, _seen=None) -> int:

@@ -4,8 +4,16 @@ A graph holds the observed vertices V, the latent confounders (exogenous
 vertices with no parents and at least two children) and the directed edges.
 Dedicated error terms are never materialized; they travel implicitly with
 their child. All vertex sets passed around the package are plain frozensets
-of vertex ids; internally everything runs on integer bitmasks so that
-d-separation and reachability stay cheap inside the derivation search.
+of vertex ids; internally everything runs on integer bitmasks.
+
+Every d-separation and closure query in the package runs on two walks
+here, over per-vertex parent and child masks: ``_closure`` (ancestor,
+descendant and component sets) and ``reach`` (active-path reachability,
+the d-separation kernel). ``cut_masks`` derives
+the masks of an edge-cut graph without building one, so pruning, the
+invariance checks and the derivation search all call ``reach`` on cut masks
+directly. ``edge_cut`` builds the cut as a ``CausalGraph`` and is kept only
+as a public convenience.
 """
 
 from __future__ import annotations
@@ -164,43 +172,21 @@ class CausalGraph:
         return frozenset(self.names[i] for i in _iter_bits(mask))
 
     def ancestors_mask(self, mask: int, *, reflexive=False) -> int:
-        out = mask if reflexive else 0
-        frontier = mask
-        while frontier:
-            step = 0
-            for v in _iter_bits(frontier):
-                step |= self.parent_masks[v]
-            new = step & ~out
-            frontier = new
-            out |= new
-        return out
+        if reflexive:
+            return _closure(self.parent_masks, mask)
+        return _closure(self.parent_masks, _union(self.parent_masks, mask))
 
     def descendants_mask(self, mask: int, *, reflexive=False) -> int:
-        out = mask if reflexive else 0
-        frontier = mask
-        while frontier:
-            step = 0
-            for v in _iter_bits(frontier):
-                step |= self.child_masks[v]
-            new = step & ~out
-            frontier = new
-            out |= new
-        return out
+        if reflexive:
+            return _closure(self.child_masks, mask)
+        return _closure(self.child_masks, _union(self.child_masks, mask))
 
     def is_connected(self) -> bool:
         """Connectivity of the undirected skeleton over V and latents."""
-        n = len(self.names)
-        if n <= 1:
+        if len(self.names) <= 1:
             return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            step = 0
-            for v in _iter_bits(frontier):
-                step |= self.parent_masks[v] | self.child_masks[v]
-            frontier = step & ~seen
-            seen |= frontier
-        return seen == (1 << n) - 1
+        adj = [p | c for p, c in zip(self.parent_masks, self.child_masks)]
+        return _closure(adj, 1) == (1 << len(self.names)) - 1
 
     def topological_order(self):
         n = len(self.names)
@@ -237,57 +223,100 @@ class CausalGraph:
 # -- reachability core -------------------------------------------------------
 
 
-def _reachable_mask(parent_masks, child_masks, src: int, cond: int) -> int:
-    """Vertices reachable from ``src`` along paths left active by ``cond``.
+def _union(step_masks, mask: int) -> int:
+    """Union of ``step_masks`` over the members of mask (one step, no closure)."""
+    out = 0
+    for v in _iter_bits(mask):
+        out |= step_masks[v]
+    return out
 
-    Ball-passing formulation: a vertex is visited in the "up" state when the
-    ball may continue to its parents and children, and in the "down" state
-    when it arrived from a parent (so it may continue down, or up if it is a
-    collider opened by conditioning).
-    """
-    an_cond = cond
-    frontier = cond
+
+def _closure(step_masks, mask: int) -> int:
+    """Reflexive closure of mask under ``step_masks`` (parents: ancestors)."""
+    out = frontier = mask
     while frontier:
         step = 0
-        for v in _iter_bits(frontier):
-            step |= parent_masks[v]
-        frontier = step & ~an_cond
-        an_cond |= frontier
+        while frontier:
+            low = frontier & -frontier
+            step |= step_masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~out
+        out |= frontier
+    return out
 
-    vis_up = src
-    vis_down = 0
-    stack = [(v, True) for v in _iter_bits(src)]
-    while stack:
-        v, up = stack.pop()
-        bit = 1 << v
-        if up:
-            if not bit & cond:
-                for p in _iter_bits(parent_masks[v] & ~vis_up):
-                    vis_up |= 1 << p
-                    stack.append((p, True))
-                for c in _iter_bits(child_masks[v] & ~vis_down):
-                    vis_down |= 1 << c
-                    stack.append((c, False))
+
+def cut_masks(par, ch, cin: int, cout: int):
+    """Parent and child masks with the edges into cin and out of cout removed."""
+    n = len(par)
+    return (
+        [0 if (1 << i) & cin else par[i] & ~cout for i in range(n)],
+        [0 if (1 << i) & cout else ch[i] & ~cin for i in range(n)],
+    )
+
+
+def reach(par, ch, src: int, cond: int, stop: int = 0) -> int:
+    """Vertices joined to ``src`` by a path that ``cond`` leaves active.
+
+    Ball passing: a vertex is pending "up" when the ball may continue to its
+    parents and children, and "down" when it arrived from a parent (so it
+    may continue down, or up if it is a collider opened by conditioning).
+    With ``stop`` set the walk returns as soon as it meets a stop vertex, so
+    the result meets ``stop`` exactly when some stop vertex is reachable;
+    with ``stop=0`` it is the full reachable set, ``src`` included.
+    """
+    an_cond = _closure(par, cond)
+    if src & stop:
+        return src
+    vis_up = pend_up = src
+    vis_down = pend_down = 0
+    while pend_up or pend_down:
+        if pend_up:
+            low = pend_up & -pend_up
+            pend_up ^= low
+            v = low.bit_length() - 1
+            if not low & cond:
+                new = par[v] & ~vis_up
+                if new:
+                    if new & stop:
+                        return new
+                    vis_up |= new
+                    pend_up |= new
+                new = ch[v] & ~vis_down
+                if new:
+                    if new & stop:
+                        return new
+                    vis_down |= new
+                    pend_down |= new
         else:
-            if not bit & cond:
-                for c in _iter_bits(child_masks[v] & ~vis_down):
-                    vis_down |= 1 << c
-                    stack.append((c, False))
-            if bit & an_cond:
-                for p in _iter_bits(parent_masks[v] & ~vis_up):
-                    vis_up |= 1 << p
-                    stack.append((p, True))
+            low = pend_down & -pend_down
+            pend_down ^= low
+            v = low.bit_length() - 1
+            if not low & cond:
+                new = ch[v] & ~vis_down
+                if new:
+                    if new & stop:
+                        return new
+                    vis_down |= new
+                    pend_down |= new
+            if low & an_cond:
+                new = par[v] & ~vis_up
+                if new:
+                    if new & stop:
+                        return new
+                    vis_up |= new
+                    pend_up |= new
     return vis_up | vis_down
 
 
-def _dsep_masks(parent_masks, child_masks, x: int, y: int, z: int) -> bool:
+def dsep_masks(par, ch, x: int, y: int, z: int) -> bool:
+    """Whether z d-separates x from y; the three masks must be disjoint."""
     if x & y or x & z or y & z:
         raise GraphError("d-separation sets must be pairwise disjoint")
     if not x or not y:
         return True
     if bin(x).count("1") > bin(y).count("1"):
         x, y = y, x
-    return not _reachable_mask(parent_masks, child_masks, x, z) & y
+    return not reach(par, ch, x, z, y) & y
 
 
 # -- parsing and the public graph operations -----------------------------------
@@ -362,21 +391,13 @@ def relations(g: CausalGraph, s, which: str, include_latents: bool = False) -> f
     """
     mask = g.mask_of(s)
     if which == "parents":
-        out = 0
-        for v in _iter_bits(mask):
-            out |= g.parent_masks[v]
+        out = _union(g.parent_masks, mask)
     elif which == "children":
-        out = 0
-        for v in _iter_bits(mask):
-            out |= g.child_masks[v]
+        out = _union(g.child_masks, mask)
     elif which == "ancestors":
-        out = 0
-        for v in _iter_bits(mask):
-            out |= g.ancestors_mask(1 << v)
+        out = g.ancestors_mask(mask)
     elif which == "descendants":
-        out = 0
-        for v in _iter_bits(mask):
-            out |= g.descendants_mask(1 << v)
+        out = g.descendants_mask(mask)
     else:
         raise ValueError(f"unknown relation {which!r}")
     if not include_latents:
@@ -388,7 +409,8 @@ def edge_cut(g: CausalGraph, cut_in, cut_out) -> CausalGraph:
     """The graph with incoming edges of cut_in and outgoing edges of cut_out removed.
 
     The vertex set is unchanged, so latents may be left with fewer than two
-    children; such graphs only appear as intermediates of do-calculus checks.
+    children. A public convenience only: the package's own checks run on
+    ``cut_masks`` instead of building a graph per check.
     """
     in_mask = g.mask_of(cut_in)
     out_mask = g.mask_of(cut_out)
@@ -437,4 +459,4 @@ def d_separated(g: CausalGraph, x, y, z, *, allow_latents: bool = False) -> bool
     zm = g.mask_of(z)
     if not allow_latents and (xm | ym | zm) & g.latent_mask:
         raise GraphError("latent vertices in d-separation sets need allow_latents=True")
-    return _dsep_masks(g.parent_masks, g.child_masks, xm, ym, zm)
+    return dsep_masks(g.parent_masks, g.child_masks, xm, ym, zm)

@@ -23,8 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import ClusterMapping, Query, validate_inputs
-from .functional import InputRef, Pinned, Product, Quotient, SumOver, free_variables
-from .graph import CausalGraph, GraphError, _iter_bits
+from .functional import (
+    InputRef,
+    Pinned,
+    Product,
+    Quotient,
+    SumOver,
+    free_variables,
+    transform,
+    with_children,
+)
+from .graph import CausalGraph, GraphError, _closure, _iter_bits, cut_masks, reach
 
 IDENTIFIED = "identified"
 EXHAUSTED = "exhausted_not_identified"
@@ -54,15 +63,13 @@ class IdentifyResult:
 
 
 class _Engine:
-    """Bitmask graph with memoized cut graphs, d-separations and ancestor sets."""
+    """Per-search memo of cut masks, d-separations and cut ancestor sets."""
 
-    __slots__ = ("n", "obs_mask", "base_par", "base_ch", "_cuts", "_dsep", "_an")
+    __slots__ = ("base_par", "base_ch", "_cuts", "_dsep", "_an")
 
     def __init__(self, g: CausalGraph):
-        self.n = len(g.names)
-        self.obs_mask = g.observed_mask
-        self.base_par = list(g.parent_masks)
-        self.base_ch = list(g.child_masks)
+        self.base_par = g.parent_masks
+        self.base_ch = g.child_masks
         self._cuts = {(0, 0): (self.base_par, self.base_ch)}
         self._dsep = {}
         self._an = {}
@@ -71,16 +78,7 @@ class _Engine:
         key = (cin, cout)
         got = self._cuts.get(key)
         if got is None:
-            par = [
-                0 if (1 << i) & cin else self.base_par[i] & ~cout
-                for i in range(self.n)
-            ]
-            ch = [
-                0 if (1 << i) & cout else self.base_ch[i] & ~cin
-                for i in range(self.n)
-            ]
-            got = (par, ch)
-            self._cuts[key] = got
+            got = self._cuts[key] = cut_masks(self.base_par, self.base_ch, cin, cout)
         return got
 
     def ancestors(self, cin: int, m: int) -> int:
@@ -88,16 +86,7 @@ class _Engine:
         key = (cin, m)
         got = self._an.get(key)
         if got is None:
-            par, _ = self.cut(cin, 0)
-            out = m
-            frontier = m
-            while frontier:
-                step = 0
-                for v in _iter_bits(frontier):
-                    step |= par[v]
-                frontier = step & ~out
-                out |= frontier
-            self._an[key] = got = out
+            got = self._an[key] = _closure(self.cut(cin, 0)[0], m)
         return got
 
     def dsep(self, cin: int, cout: int, x: int, y: int, z: int) -> bool:
@@ -109,67 +98,8 @@ class _Engine:
         got = self._dsep.get(key)
         if got is None:
             par, ch = self.cut(cin, cout)
-            got = not self._hits(par, ch, x, z, y)
-            self._dsep[key] = got
+            got = self._dsep[key] = not reach(par, ch, x, z, y) & y
         return got
-
-    @staticmethod
-    def _hits(par, ch, src: int, cond: int, target: int) -> bool:
-        """Whether any active path from src reaches target given cond."""
-        an_cond = cond
-        frontier = cond
-        while frontier:
-            step = 0
-            m = frontier
-            while m:
-                low = m & -m
-                step |= par[low.bit_length() - 1]
-                m ^= low
-            frontier = step & ~an_cond
-            an_cond |= frontier
-        if src & target:
-            return True
-        vis_up = src
-        vis_down = 0
-        pend_up = src
-        pend_down = 0
-        while pend_up or pend_down:
-            if pend_up:
-                low = pend_up & -pend_up
-                pend_up ^= low
-                v = low.bit_length() - 1
-                if not low & cond:
-                    new = par[v] & ~vis_up
-                    if new:
-                        if new & target:
-                            return True
-                        vis_up |= new
-                        pend_up |= new
-                    new = ch[v] & ~vis_down
-                    if new:
-                        if new & target:
-                            return True
-                        vis_down |= new
-                        pend_down |= new
-            else:
-                low = pend_down & -pend_down
-                pend_down ^= low
-                v = low.bit_length() - 1
-                if not low & cond:
-                    new = ch[v] & ~vis_down
-                    if new:
-                        if new & target:
-                            return True
-                        vis_down |= new
-                        pend_down |= new
-                if low & an_cond:
-                    new = par[v] & ~vis_up
-                    if new:
-                        if new & target:
-                            return True
-                        vis_up |= new
-                        pend_up |= new
-        return False
 
 
 def _cands(m: int):
@@ -322,26 +252,12 @@ def lift_functional_pruning(f, prune_result):
     """Re-point input references to the original, unrestricted input list."""
     indices = prune_result.input_indices
 
-    def walk(node, memo):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def lift(node, kids):
         if isinstance(node, InputRef):
-            out = InputRef(indices[node.index], node.a, node.b, node.c)
-        elif isinstance(node, SumOver):
-            out = SumOver(node.vars, walk(node.child, memo))
-        elif isinstance(node, Pinned):
-            out = Pinned(node.vars, walk(node.child, memo))
-        elif isinstance(node, Product):
-            out = Product(tuple(walk(x, memo) for x in node.factors))
-        elif isinstance(node, Quotient):
-            out = Quotient(walk(node.num, memo), walk(node.den, memo))
-        else:
-            raise TypeError(f"not a functional node: {node!r}")
-        memo[id(node)] = out
-        return out
+            return InputRef(indices[node.index], node.a, node.b, node.c)
+        return with_children(node, kids)
 
-    return walk(f, {})
+    return transform(f, lift)
 
 
 def lift_functional_clustering(f, mapping: ClusterMapping):
@@ -365,48 +281,25 @@ def lift_functional_clustering(f, mapping: ClusterMapping):
             )
         return tuple(sorted((frozenset(vals) - {t}) | subset))
 
-    def walk(node, memo):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def lift(node, kids):
         if isinstance(node, InputRef):
-            out = InputRef(
-                node.index,
-                repl(node.a, node.index),
-                repl(node.b, node.index),
-                repl(node.c, node.index),
-            )
-        elif isinstance(node, SumOver):
-            child = walk(node.child, memo)
-            if t in node.vars:
-                if not union:
-                    raise GraphError(f"no original members recorded for {t}")
-                # only members the lifted subtree actually uses stay bound;
-                # a blanket union would multiply subtrees that reference a
-                # smaller subset by the cardinality of the spurious members
-                keep = union & free_variables(child, fv_memo)
-                new_vars = tuple(sorted((frozenset(node.vars) - {t}) | keep))
-            else:
-                new_vars = node.vars
-            out = SumOver(new_vars, child) if new_vars else child
-        elif isinstance(node, Pinned):
-            child = walk(node.child, memo)
-            if t in node.vars:
-                keep = union & free_variables(child, fv_memo)
-                new_vars = tuple(sorted((frozenset(node.vars) - {t}) | keep))
-            else:
-                new_vars = node.vars
-            out = Pinned(new_vars, child) if new_vars else child
-        elif isinstance(node, Product):
-            out = Product(tuple(walk(x, memo) for x in node.factors))
-        elif isinstance(node, Quotient):
-            out = Quotient(walk(node.num, memo), walk(node.den, memo))
-        else:
-            raise TypeError(f"not a functional node: {node!r}")
-        memo[id(node)] = out
-        return out
+            i = node.index
+            return InputRef(i, repl(node.a, i), repl(node.b, i), repl(node.c, i))
+        if not isinstance(node, (SumOver, Pinned)):
+            return with_children(node, kids)
+        (child,) = kids
+        new_vars = node.vars
+        if t in new_vars:
+            if not union and isinstance(node, SumOver):
+                raise GraphError(f"no original members recorded for {t}")
+            # only members the lifted subtree actually uses stay bound; a
+            # blanket union would multiply subtrees that reference a smaller
+            # subset by the cardinality of the spurious members
+            keep = union & free_variables(child, fv_memo)
+            new_vars = tuple(sorted((frozenset(new_vars) - {t}) | keep))
+        return type(node)(new_vars, child) if new_vars else child
 
-    out = walk(f, {})
+    out = transform(f, lift)
     if t in free_variables(out):
         raise GraphError(f"cluster vertex {t} left free after lifting")
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .clustering import check_single_layer
 from .distributions import Query
-from .graph import CausalGraph, GraphError, _dsep_masks, edge_cut
+from .graph import CausalGraph, GraphError, _closure, cut_masks, dsep_masks
 
 IDENTIFIABLE = "identifiable_in_original"
 NON_IDENTIFIABLE = "non_identifiable_in_original"
@@ -52,10 +52,8 @@ class VerifyResult:
 
 
 def _dsep(g: CausalGraph, x_mask, y_mask, z_mask, cut_in=0, cut_out=0) -> bool:
-    if cut_in or cut_out:
-        cut = edge_cut(g, g.names_of(cut_in), g.names_of(cut_out))
-        return _dsep_masks(cut.parent_masks, cut.child_masks, x_mask, y_mask, z_mask)
-    return _dsep_masks(g.parent_masks, g.child_masks, x_mask, y_mask, z_mask)
+    par, ch = cut_masks(g.parent_masks, g.child_masks, cut_in, cut_out)
+    return dsep_masks(par, ch, x_mask, y_mask, z_mask)
 
 
 def verify_inputs(g: CausalGraph, inputs, t_name: str) -> VerifyResult:
@@ -112,8 +110,8 @@ def verify_inputs(g: CausalGraph, inputs, t_name: str) -> VerifyResult:
             # rule-3 style insertion of do(T): cut the incoming edges of T
             # unless T is an ancestor of the conditioning set once the
             # intervened inputs are cut
-            cut_b = edge_cut(g, dist.b, ())
-            t_cut = 0 if cut_b.ancestors_mask(c) & t_bit else t_bit
+            par_b, _ = cut_masks(g.parent_masks, g.child_masks, b, 0)
+            t_cut = 0 if _closure(par_b, c) & t_bit else t_bit
             if _dsep(g, a, t_bit, b | c, cut_in=b | t_cut):
                 trace.append(VerifyTraceEntry(i, 14, True))
                 continue
@@ -136,6 +134,13 @@ class InvarianceVerdict:
     basis: str
     cluster: str
     verify: VerifyResult | None = None
+
+    @classmethod
+    def from_verify(cls, result: VerifyResult, label: str) -> "InvarianceVerdict":
+        """The verdict an input verification gives for the cluster ``label``."""
+        if result.ok:
+            return cls(NON_IDENTIFIABLE, "verified_inputs", label, result)
+        return cls(UNDETERMINED, "verify_inputs_false", label, result)
 
     def to_json(self) -> dict:
         return {
@@ -178,7 +183,4 @@ def decide_invariance(
     if not clustered.compatible:
         raise GraphError(f"inputs are not compatible with the cluster: {clustered.reason}")
     g2 = apply_cluster(g, t, t_name)
-    result = verify_inputs(g2, clustered.inputs, t_name)
-    if result.ok:
-        return InvarianceVerdict(NON_IDENTIFIABLE, "verified_inputs", label, result)
-    return InvarianceVerdict(UNDETERMINED, "verify_inputs_false", label, result)
+    return InvarianceVerdict.from_verify(verify_inputs(g2, clustered.inputs, t_name), label)

@@ -24,12 +24,7 @@ from .identify import (
     lift_functional_clustering,
     lift_functional_pruning,
 )
-from .invariance import (
-    NON_IDENTIFIABLE,
-    UNDETERMINED,
-    InvarianceVerdict,
-    verify_inputs,
-)
+from .invariance import NON_IDENTIFIABLE, InvarianceVerdict, verify_inputs
 from .pruning import PruneResult, prune_all
 
 
@@ -164,29 +159,14 @@ def run_pipeline(
 
     # saturated without identification: promote through the clusterings
     verdicts = []
-    all_certified = True
     for ac in reversed(applied):
+        label = ",".join(sorted(ac.members))
         if check_single_layer(ac.graph_before, ac.members):
-            verdicts.append(
-                InvarianceVerdict(
-                    NON_IDENTIFIABLE, "single_layer", ",".join(sorted(ac.members))
-                )
-            )
-            continue
-        res = verify_inputs(ac.graph_after, ac.inputs_after, ac.t_name)
-        if res.ok:
-            verdicts.append(
-                InvarianceVerdict(
-                    NON_IDENTIFIABLE, "verified_inputs", ",".join(sorted(ac.members)), res
-                )
-            )
+            verdicts.append(InvarianceVerdict(NON_IDENTIFIABLE, "single_layer", label))
         else:
-            all_certified = False
-            verdicts.append(
-                InvarianceVerdict(
-                    UNDETERMINED, "verify_inputs_false", ",".join(sorted(ac.members)), res
-                )
-            )
+            res = verify_inputs(ac.graph_after, ac.inputs_after, ac.t_name)
+            verdicts.append(InvarianceVerdict.from_verify(res, label))
+    all_certified = all(v.status == NON_IDENTIFIABLE for v in verdicts)
     status = "non_identifiable" if all_certified else "undetermined"
     return PipelineResult(
         status, query, None, None, pruned, tuple(applied), search, tuple(verdicts)

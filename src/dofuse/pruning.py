@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .distributions import Query, _restrict_with_indices
-from .graph import CausalGraph, GraphError, _iter_bits, _reachable_mask, edge_cut, induced_subgraph
+from .graph import CausalGraph, GraphError, _closure, _iter_bits, cut_masks, induced_subgraph, reach
 
 NON_ANCESTORS = "non_ancestors"
 POST_INTERVENTION = "post_intervention"
@@ -137,8 +137,8 @@ def prune_post_intervention(g: CausalGraph, inputs, query: Query) -> PruneStep:
     _require_ancestral(g, query)
     x = g.mask_of(query.x)
     y = g.mask_of(query.y)
-    cut = edge_cut(g, query.x, ())
-    connected = _reachable_mask(cut.parent_masks, cut.child_masks, y, x)
+    par, ch = cut_masks(g.parent_masks, g.child_masks, x, 0)
+    connected = reach(par, ch, y, x)
     z_mask = g.observed_mask & ~connected & ~x
     if not z_mask:
         return _noop(POST_INTERVENTION, g, inputs, query)
@@ -265,18 +265,12 @@ def _prunable_through(g, w, blocked):
     w_bit = 1 << g._index[w]
     seen = w_bit
     union = frozenset()
+    adj = [(p | c) & ~w_bit for p, c in zip(g.parent_masks, g.child_masks)]
     for start in range(len(g.names)):
         sb = 1 << start
         if sb & seen:
             continue
-        comp = sb
-        frontier = sb
-        while frontier:
-            step = 0
-            for v in _iter_bits(frontier):
-                step |= g.parent_masks[v] | g.child_masks[v]
-            frontier = step & ~comp & ~w_bit
-            comp |= frontier
+        comp = _closure(adj, sb)
         seen |= comp
         z = g.names_of(comp & g.observed_mask)
         if z and not z & blocked:

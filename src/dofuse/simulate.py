@@ -26,7 +26,7 @@ import numpy as np
 
 from .clustering import enumerate_transit_clusters
 from .distributions import InputDistribution, Query
-from .graph import CausalGraph
+from .graph import CausalGraph, relations
 from .identify import BUDGET_EXCEEDED, SearchBudget, identify
 from .invariance import verify_inputs
 
@@ -70,21 +70,6 @@ def _rng(seed: int):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _ancestors(edges, target):
-    parents: dict = {}
-    for p, c in edges:
-        parents.setdefault(c, set()).add(p)
-    out: set = set()
-    frontier = {target}
-    while frontier:
-        step = set()
-        for v in frontier:
-            step |= parents.get(v, set())
-        frontier = step - out
-        out |= frontier
-    return out
-
-
 def generate_instance(seed: int) -> SimInstance:
     rng = _rng(seed)
     n = int(rng.integers(3, 7))
@@ -103,7 +88,7 @@ def generate_instance(seed: int) -> SimInstance:
             if rng.random() < p:
                 edges.add((src, dst))
     for v in order[:-1]:
-        an_y = _ancestors(edges, "Y")
+        an_y = relations(CausalGraph(order, edges), {"Y"}, "ancestors")
         if v not in an_y:
             candidates = [w for w in order[pos[v] + 1:] if w == "Y" or w in an_y]
             edges.add((v, candidates[int(rng.integers(len(candidates)))]))

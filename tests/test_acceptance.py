@@ -534,6 +534,7 @@ def test_criterion_6_property_suites(report):
     report(6, ok, f"{summary} (identified {identified}, prunes {applied})")
 
 
+@pytest.mark.slow
 def test_criterion_7_campaign(report):
     t0 = time.perf_counter()
     records, summary = run_campaign(2000, base_seed=0, workers=1, budget=SIM_BUDGET)

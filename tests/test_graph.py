@@ -10,6 +10,8 @@ from dofuse import (
     parse_graph,
     relations,
 )
+from dofuse.graph import cut_masks, dsep_masks, reach
+from dofuse.identify import _Engine
 
 import oracles
 import fixtures as fx
@@ -196,6 +198,61 @@ def test_dsep_exhaustive_on_small_fixtures():
                     got = d_separated(g, {obs[xi]}, {obs[yi]}, z)
                     want = oracles.dsep_paths_oracle(g, {obs[xi]}, {obs[yi]}, z)
                     assert got == want, (obs[xi], obs[yi], z)
+
+
+def _random_bits(rng, pool, k):
+    return [1 << int(i) for i in rng.choice(pool, size=k, replace=False)]
+
+
+def test_kernel_dsep_on_cuts_matches_paths_oracle():
+    """The search's memo and ``dsep_masks`` against literal path blocking."""
+    rng = np.random.default_rng(11)
+    checks = separated = 0
+    for _ in range(250):
+        g = oracles.random_dag(rng, 7, 0.4, n_latents=int(rng.integers(0, 3)))
+        cin = sum(_random_bits(rng, 7, int(rng.integers(0, 3))))
+        cout = sum(_random_bits(rng, 7, int(rng.integers(0, 3))))
+        cut = edge_cut(g, g.names_of(cin), g.names_of(cout))
+        par, ch = cut_masks(g.parent_masks, g.child_masks, cin, cout)
+        assert (tuple(par), tuple(ch)) == (cut.parent_masks, cut.child_masks)
+        eng = _Engine(g)
+        for _ in range(8):
+            bits = _random_bits(rng, 7, int(rng.integers(2, 7)))
+            i = int(rng.integers(1, len(bits)))
+            j = int(rng.integers(i + 1, len(bits) + 1))
+            x, y, z = sum(bits[:i]), sum(bits[i:j]), sum(bits[j:])
+            want = oracles.dsep_paths_oracle(
+                cut, g.names_of(x), g.names_of(y), g.names_of(z)
+            )
+            assert dsep_masks(par, ch, x, y, z) == want, (g, cin, cout, x, y, z)
+            assert eng.dsep(cin, cout, x, y, z) == want, (g, cin, cout, x, y, z)
+            assert eng.dsep(cin, cout, y, x, z) == want
+            checks += 1
+            separated += want
+    assert checks == 2000
+    assert 300 < separated < 1700  # both verdicts well represented
+
+
+def test_kernel_reach_is_the_active_path_set():
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        g = oracles.random_dag(rng, 7, 0.4, n_latents=int(rng.integers(0, 3)))
+        bits = _random_bits(rng, len(g.names), int(rng.integers(1, 5)))
+        src, cond = bits[0], sum(bits[1:]) & g.observed_mask
+        want = src
+        for v in range(len(g.names)):
+            if (1 << v) & (src | cond):
+                continue
+            if not oracles.dsep_paths_oracle(
+                g, g.names_of(src), g.names_of(1 << v), g.names_of(cond)
+            ):
+                want |= 1 << v
+        got = reach(g.parent_masks, g.child_masks, src, cond)
+        assert got & ~cond == want, (g, src, cond)
+        for stop in _random_bits(rng, len(g.names), 2):
+            if not stop & cond:
+                hit = reach(g.parent_masks, g.child_masks, src, cond, stop)
+                assert bool(hit & stop) == bool(want & stop)
 
 
 def test_graph_equality_is_structural():
