@@ -259,12 +259,14 @@ def reach(par, ch, src: int, cond: int, stop: int = 0) -> int:
 
     Ball passing: a vertex is pending "up" when the ball may continue to its
     parents and children, and "down" when it arrived from a parent (so it
-    may continue down, or up if it is a collider opened by conditioning).
+    may continue down, or bounce up to its parents if it is conditioned).
+    A collider with a conditioned descendant is opened by the ball running
+    down to that descendant and bouncing back up, so no ancestor closure of
+    ``cond`` is needed and the visited set is the same as with one.
     With ``stop`` set the walk returns as soon as it meets a stop vertex, so
     the result meets ``stop`` exactly when some stop vertex is reachable;
     with ``stop=0`` it is the full reachable set, ``src`` included.
     """
-    an_cond = _closure(par, cond)
     if src & stop:
         return src
     vis_up = pend_up = src
@@ -298,7 +300,7 @@ def reach(par, ch, src: int, cond: int, stop: int = 0) -> int:
                         return new
                     vis_down |= new
                     pend_down |= new
-            if low & an_cond:
+            else:
                 new = par[v] & ~vis_up
                 if new:
                     if new & stop:

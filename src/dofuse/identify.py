@@ -21,6 +21,7 @@ budget exceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .distributions import ClusterMapping, Query, validate_inputs
 from .functional import (
@@ -63,15 +64,19 @@ class IdentifyResult:
 
 
 class _Engine:
-    """Per-search memo of cut masks, d-separations and cut ancestor sets."""
+    """Per-search memo of cut masks and cut ancestor sets.
 
-    __slots__ = ("base_par", "base_ch", "_cuts", "_dsep", "_an")
+    d-separation verdicts are not memoized: the search tests a rule guard
+    only for a target it has not stored, so a verdict is rarely asked for
+    twice and a memo costs more than it saves.
+    """
+
+    __slots__ = ("base_par", "base_ch", "_cuts", "_an")
 
     def __init__(self, g: CausalGraph):
         self.base_par = g.parent_masks
         self.base_ch = g.child_masks
         self._cuts = {(0, 0): (self.base_par, self.base_ch)}
-        self._dsep = {}
         self._an = {}
 
     def cut(self, cin: int, cout: int):
@@ -94,14 +99,11 @@ class _Engine:
             return True
         if x > y:
             x, y = y, x
-        key = (cin, cout, x, y, z)
-        got = self._dsep.get(key)
-        if got is None:
-            par, ch = self.cut(cin, cout)
-            got = self._dsep[key] = not reach(par, ch, x, z, y) & y
-        return got
+        par, ch = self.cut(cin, cout)
+        return not reach(par, ch, x, z, y) & y
 
 
+@lru_cache(maxsize=1 << 14)
 def _cands(m: int):
     """Maximal set first, then singletons; empty and singleton pools shrink."""
     if not m:
@@ -159,42 +161,59 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
             derived = []
             emit = derived.append
 
+            # a move is built, and a rule move tested, only when its target
+            # is not stored yet: add would drop a stored target anyway
             if a & (a - 1):
                 for v in _iter_bits(a):
                     vb = 1 << v
-                    emit(((a ^ vb, b, c), ("marg", vb, key)))
-                    emit(((a ^ vb, b, c | vb), ("cond", vb, key)))
+                    t = (a ^ vb, b, c)
+                    if t not in store:
+                        emit((t, ("marg", vb, key)))
+                    t = (a ^ vb, b, c | vb)
+                    if t not in store:
+                        emit((t, ("cond", vb, key)))
 
             free = obs & ~(a | b | c)
             # rule 1: delete then insert observations
             for z in _cands(c):
-                if eng.dsep(b, 0, a, z, b | (c & ~z)):
-                    emit(((a, b, c & ~z), ("pin", z, key)))
+                t = (a, b, c & ~z)
+                if t not in store and eng.dsep(b, 0, a, z, b | (c & ~z)):
+                    emit((t, ("pin", z, key)))
             for z in _cands(free):
-                if eng.dsep(b, 0, a, z, b | c):
-                    emit(((a, b, c | z), ("rule", key)))
+                t = (a, b, c | z)
+                if t not in store and eng.dsep(b, 0, a, z, b | c):
+                    emit((t, ("rule", key)))
             # rule 2: exchange actions and observations, both directions
             for z in _cands(b):
-                if eng.dsep(b & ~z, z, a, z, (b & ~z) | c):
-                    emit(((a, b & ~z, c | z), ("rule", key)))
+                t = (a, b & ~z, c | z)
+                if t not in store and eng.dsep(b & ~z, z, a, z, (b & ~z) | c):
+                    emit((t, ("rule", key)))
             for z in _cands(c):
-                if eng.dsep(b, z, a, z, b | (c & ~z)):
-                    emit(((a, b | z, c & ~z), ("rule", key)))
+                t = (a, b | z, c & ~z)
+                if t not in store and eng.dsep(b, z, a, z, b | (c & ~z)):
+                    emit((t, ("rule", key)))
             # rule 3: delete then insert actions
             for z in _cands(b):
-                zc = z & ~eng.ancestors(b & ~z, c)
-                if eng.dsep((b & ~z) | zc, 0, a, z, (b & ~z) | c):
-                    emit(((a, b & ~z, c), ("pin", z, key)))
+                t = (a, b & ~z, c)
+                if t not in store:
+                    zc = z & ~eng.ancestors(b & ~z, c)
+                    if eng.dsep((b & ~z) | zc, 0, a, z, (b & ~z) | c):
+                        emit((t, ("pin", z, key)))
             for z in _cands(free):
-                zc = z & ~eng.ancestors(b, c)
-                if eng.dsep(b | zc, 0, a, z, b | c):
-                    emit(((a, b | z, c), ("rule", key)))
+                t = (a, b | z, c)
+                if t not in store:
+                    zc = z & ~eng.ancestors(b, c)
+                    if eng.dsep(b | zc, 0, a, z, b | c):
+                        emit((t, ("rule", key)))
             # chain composition with every stored partner
             for t2 in sorted(by_bac.get((b, c), ())):
-                if t2 != key:
-                    emit(((a | t2[0], b, t2[2]), ("prod", key, t2)))
+                t = (a | t2[0], b, t2[2])
+                if t2 != key and t not in store:
+                    emit((t, ("prod", key, t2)))
             for t1 in sorted(by_bc.get((b, a | c), ())):
-                emit(((t1[0] | a, b, c), ("prod", t1, key)))
+                t = (t1[0] | a, b, c)
+                if t not in store:
+                    emit((t, ("prod", t1, key)))
 
             for new_key, deriv in derived:
                 if add(new_key, nd, deriv):
