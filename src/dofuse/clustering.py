@@ -7,14 +7,22 @@ children of emitters, internal connectivity to a receiver or emitter after
 sealing the boundary, and directed receiver-to-emitter reachability both
 ways). Directed reachability here counts the trivial path, so a vertex that
 is both a receiver and an emitter satisfies the last two conditions by itself.
+
+Every check is one mask-level core, ``_boundary`` (receiver and emitter
+masks) then ``_verdict`` (the five conditions), with no walk of its own:
+(c) is ``graph._closure`` over the skeleton of the sealed ``cut_masks``, (d)
+and (e) are ``_closure`` over child and parent masks. Enumeration feeds it
+bitmask subsets of a graph checked connected once; ``is_transit_cluster``
+and ``_require_cluster``, the guard of every cluster operation, wrap it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .graph import CausalGraph, GraphError, _iter_bits
+from .graph import CausalGraph, GraphError, _closure, _iter_bits, _union, cut_masks
 
 ENUMERATION_GUARD = 1 << 22
 
@@ -34,16 +42,76 @@ class ClusterVerdict:
     witness: tuple = ()
 
 
-def receivers_emitters(g: CausalGraph, t_members) -> tuple:
-    """Receivers have a parent outside the set, emitters a child outside it."""
-    t = g.mask_of(t_members)
-    rec = 0
-    em = 0
+def _boundary(g: CausalGraph, t: int) -> tuple:
+    """Receiver and emitter masks: members with a parent, or a child, outside t."""
+    rec = em = 0
     for v in _iter_bits(t):
         if g.parent_masks[v] & ~t:
             rec |= 1 << v
         if g.child_masks[v] & ~t:
             em |= 1 << v
+    return rec, em
+
+
+def _verdict(g: CausalGraph, t: int, rec: int, em: int) -> ClusterVerdict:
+    """The five conditions on member mask t, reporting the first failure."""
+    par, ch = g.parent_masks, g.child_masks
+    # conditions (a)/(b): receivers share their outside parents, emitters
+    # their outside children
+    for cond, side, steps in (("a", rec, par), ("b", em, ch)):
+        vs = list(_iter_bits(side))
+        for v1, v2 in zip(vs, vs[1:]):
+            if steps[v1] & ~t != steps[v2] & ~t:
+                return ClusterVerdict(False, cond, (g.names[v1], g.names[v2]))
+
+    # condition (c): undirected connectivity to a receiver or emitter once
+    # incoming edges of receivers and outgoing edges of emitters are removed
+    # (which also cuts every edge leaving t); vacuous when a cut sealed the
+    # whole boundary, and a member left with no edges at all has no paths and
+    # cannot leak - neither case arises in a connected ambient graph
+    if not rec | em:
+        return ClusterVerdict(True)
+    sealed = [p | c for p, c in zip(*cut_masks(par, ch, rec, em))]
+    stranded = t & ~_closure(sealed, rec | em)
+    for v in _iter_bits(stranded):
+        if par[v] or ch[v]:
+            return ClusterVerdict(False, "c", (g.names[v],))
+
+    # conditions (d)/(e): each receiver reaches an emitter and each emitter
+    # is reached from a receiver, allowing the length-zero path
+    for cond, side, steps, goal in (("d", rec, ch, em), ("e", em, par, rec)):
+        if goal:
+            for v in _iter_bits(side):
+                if not _closure(steps, 1 << v) & goal:
+                    return ClusterVerdict(False, cond, (g.names[v],))
+    return ClusterVerdict(True)
+
+
+def _candidate_mask(g: CausalGraph, t_members, require_connected: bool = True) -> int:
+    """Member mask of a candidate cluster: nonempty, proper, in a connected graph."""
+    if require_connected and not g.is_connected():
+        raise GraphError("transit clusters are defined on connected graphs")
+    t = g.mask_of(t_members)
+    if not t:
+        raise GraphError("cluster must be nonempty")
+    if t == (1 << len(g.names)) - 1:
+        raise GraphError("cluster must be a proper subset of the vertices")
+    return t
+
+
+def _require_cluster(g: CausalGraph, t_members) -> tuple:
+    """(member, receiver, emitter) masks of a transit cluster; GraphError otherwise."""
+    t = _candidate_mask(g, t_members)
+    rec, em = _boundary(g, t)
+    failed = _verdict(g, t, rec, em).failed_condition
+    if failed:
+        raise GraphError(f"{sorted(t_members)} is not a transit cluster (condition {failed})")
+    return t, rec, em
+
+
+def receivers_emitters(g: CausalGraph, t_members) -> tuple:
+    """Receivers have a parent outside the set, emitters a child outside it."""
+    rec, em = _boundary(g, g.mask_of(t_members))
     return g.names_of(rec), g.names_of(em)
 
 
@@ -53,79 +121,8 @@ def is_transit_cluster(g: CausalGraph, t_members, *, require_connected: bool = T
     Connectivity of the ambient graph is part of the definition; checks on
     edge-cut graphs (where clusters provably persist) may opt out of it.
     """
-    if require_connected and not g.is_connected():
-        raise GraphError("transit clusters are defined on connected graphs")
-    t = g.mask_of(t_members)
-    if not t:
-        raise GraphError("cluster must be nonempty")
-    all_mask = (1 << len(g.names)) - 1
-    if t == all_mask:
-        raise GraphError("cluster must be a proper subset of the vertices")
-    rec = 0
-    em = 0
-    for v in _iter_bits(t):
-        if g.parent_masks[v] & ~t:
-            rec |= 1 << v
-        if g.child_masks[v] & ~t:
-            em |= 1 << v
-
-    rec_list = list(_iter_bits(rec))
-    for r1, r2 in zip(rec_list, rec_list[1:]):
-        if g.parent_masks[r1] & ~t != g.parent_masks[r2] & ~t:
-            return ClusterVerdict(False, "a", (g.names[r1], g.names[r2]))
-    em_list = list(_iter_bits(em))
-    for e1, e2 in zip(em_list, em_list[1:]):
-        if g.child_masks[e1] & ~t != g.child_masks[e2] & ~t:
-            return ClusterVerdict(False, "b", (g.names[e1], g.names[e2]))
-
-    # condition (c): undirected connectivity to a receiver or emitter once
-    # incoming edges of receivers and outgoing edges of emitters are removed;
-    # vacuous when a cut sealed the whole boundary, and a member left with no
-    # edges at all has no paths and cannot leak - neither case arises in a
-    # connected ambient graph
-    if not rec | em:
-        return ClusterVerdict(True)
-    seen = rec | em
-    frontier = seen
-    while frontier:
-        step = 0
-        for v in _iter_bits(frontier):
-            vbit = 1 << v
-            for p in _iter_bits(g.parent_masks[v]):
-                if vbit & rec or (1 << p) & em:
-                    continue
-                step |= 1 << p
-            for c in _iter_bits(g.child_masks[v]):
-                if vbit & em or (1 << c) & rec:
-                    continue
-                step |= 1 << c
-        frontier = step & ~seen
-        seen |= frontier
-    isolated = 0
-    for v in _iter_bits(t):
-        if not g.parent_masks[v] and not g.child_masks[v]:
-            isolated |= 1 << v
-    stranded = t & ~seen & ~isolated
-    if stranded:
-        v = next(_iter_bits(stranded))
-        return ClusterVerdict(False, "c", (g.names[v],))
-
-    # conditions (d)/(e): directed paths between receivers and emitters,
-    # allowing the length-zero path
-    if em:
-        for r in rec_list:
-            if not g.descendants_mask(1 << r, reflexive=True) & em:
-                return ClusterVerdict(False, "d", (g.names[r],))
-    if rec:
-        for e in em_list:
-            if not g.ancestors_mask(1 << e, reflexive=True) & rec:
-                return ClusterVerdict(False, "e", (g.names[e],))
-    return ClusterVerdict(True)
-
-
-def verify_cluster(g: CausalGraph, t_members) -> TransitCluster:
-    rec, em = receivers_emitters(g, t_members)
-    return TransitCluster(frozenset(t_members), rec, em, is_transit_cluster(g, t_members).ok)
+    t = _candidate_mask(g, t_members, require_connected)
+    return _verdict(g, t, *_boundary(g, t))
 
 
 def enumerate_transit_clusters(g: CausalGraph, max_size: int | None = None, *, force=False):
@@ -136,30 +133,23 @@ def enumerate_transit_clusters(g: CausalGraph, max_size: int | None = None, *, f
     """
     if not g.is_connected():
         raise GraphError("transit clusters are defined on connected graphs")
-    names = sorted(g.names)
-    n = len(names)
+    n = len(g.names)
     top = min(max_size if max_size is not None else n - 1, n - 1)
-    total = 0
-    for k in range(2, top + 1):
-        total += _ncr(n, k)
+    total = sum(comb(n, k) for k in range(2, top + 1))
     if total > ENUMERATION_GUARD and not force:
         raise GraphError(
             f"{total} candidate subsets exceed the enumeration budget; pass force=True"
         )
+    bits = [1 << g._index[name] for name in sorted(g.names)]
     out = []
     for k in range(2, top + 1):
-        for combo in combinations(names, k):
-            if is_transit_cluster(g, combo).ok:
-                out.append(verify_cluster(g, combo))
+        for combo in combinations(bits, k):
+            t = sum(combo)
+            rec, em = _boundary(g, t)
+            if _verdict(g, t, rec, em).ok:
+                out.append(TransitCluster(g.names_of(t), g.names_of(rec), g.names_of(em), True))
     out.sort(key=lambda c: tuple(sorted(c.members)))
     return out
-
-
-def _ncr(n, k):
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return num
 
 
 def apply_cluster(g: CausalGraph, t_members, t_name: str) -> CausalGraph:
@@ -168,19 +158,12 @@ def apply_cluster(g: CausalGraph, t_members, t_name: str) -> CausalGraph:
     The new vertex inherits the external parents and children of the cluster.
     Latents left with fewer than two children are dropped.
     """
-    verdict = is_transit_cluster(g, t_members)
-    if not verdict.ok:
-        raise GraphError(
-            f"{sorted(t_members)} is not a transit cluster (condition {verdict.failed_condition})"
-        )
+    t, rec, em = _require_cluster(g, t_members)
     if g.has_vertex(t_name):
         raise GraphError(f"cluster name {t_name} collides with an existing vertex")
-    t = g.mask_of(t_members)
-    ext_parents = 0
-    ext_children = 0
-    for v in _iter_bits(t):
-        ext_parents |= g.parent_masks[v] & ~t
-        ext_children |= g.child_masks[v] & ~t
+    # only receivers have parents, and only emitters children, outside t
+    ext_parents = _union(g.parent_masks, rec) & ~t
+    ext_children = _union(g.child_masks, em) & ~t
 
     observed = [v for v in g.observed if not 1 << g._index[v] & t] + [t_name]
     edges = [
@@ -207,8 +190,5 @@ def apply_cluster(g: CausalGraph, t_members, t_name: str) -> CausalGraph:
 
 def check_single_layer(g: CausalGraph, t_members) -> bool:
     """True iff some vertex is both a receiver and an emitter of the cluster."""
-    verdict = is_transit_cluster(g, t_members)
-    if not verdict.ok:
-        raise GraphError(f"{sorted(t_members)} is not a transit cluster")
-    rec, em = receivers_emitters(g, t_members)
+    _, rec, em = _require_cluster(g, t_members)
     return bool(rec & em)

@@ -205,15 +205,10 @@ def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInp
     split the cluster across slots, or see only part of the emitter set, are
     incompatible. A latent emitter rules out clustering the inputs entirely.
     """
-    from .clustering import is_transit_cluster, receivers_emitters
+    from .clustering import _require_cluster
 
     t = frozenset(t_members)
-    verdict = is_transit_cluster(g, t)
-    if not verdict.ok:
-        raise GraphError(
-            f"{sorted(t)} is not a transit cluster (condition {verdict.failed_condition})"
-        )
-    _, emitters = receivers_emitters(g, t)
+    emitters = g.names_of(_require_cluster(g, t)[2])
     if emitters & g.latents:
         return ClusterInputsResult(
             False,

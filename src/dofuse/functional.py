@@ -8,7 +8,8 @@ by ``SumOver`` nodes; the same vertex name may be rebound in disjoint
 scopes, and rendering disambiguates shadowed names with primes. Trees built
 from derivation backtracking share subterms, so traversals memoize by node
 identity. ``transform`` is the one memoized bottom-up mapper over these
-trees; the lifts through clustering and pruning are callbacks on it.
+trees; ``canonicalize`` and the lifts through clustering and pruning are
+callbacks on it.
 """
 
 from __future__ import annotations
@@ -130,48 +131,30 @@ def node_count(node, _seen=None) -> int:
     return 1 + sum(node_count(c, _seen) for c in _children(node))
 
 
-def canonicalize(node, _memo=None):
+def canonicalize(node):
     """Normal form: flattened sorted products, merged adjacent sums."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(id(node))
-    if got is not None:
-        return got
+    return transform(node, _canonical)
+
+
+def _canonical(node, kids):
     if isinstance(node, InputRef):
-        out = InputRef(node.index, tuple(sorted(node.a)), tuple(sorted(node.b)), tuple(sorted(node.c)))
-    elif isinstance(node, SumOver):
-        child = canonicalize(node.child, _memo)
+        return InputRef(node.index, tuple(sorted(node.a)), tuple(sorted(node.b)), tuple(sorted(node.c)))
+    if isinstance(node, (SumOver, Pinned)):
+        child = kids[0]
         vars_ = frozenset(node.vars) & free_variables(child)
         if not vars_:
-            out = child
-        elif isinstance(child, SumOver):
-            out = SumOver(tuple(sorted(vars_ | frozenset(child.vars))), child.child)
-        else:
-            out = SumOver(tuple(sorted(vars_)), child)
-    elif isinstance(node, Product):
+            return child
+        if isinstance(child, type(node)):
+            return type(node)(tuple(sorted(vars_ | frozenset(child.vars))), child.child)
+        return type(node)(tuple(sorted(vars_)), child)
+    if isinstance(node, Product):
         factors = []
-        for f in node.factors:
-            f = canonicalize(f, _memo)
-            if isinstance(f, Product):
-                factors.extend(f.factors)
-            else:
-                factors.append(f)
-        out = factors[0] if len(factors) == 1 else Product(tuple(sorted(factors, key=render)))
-    elif isinstance(node, Quotient):
-        out = Quotient(canonicalize(node.num, _memo), canonicalize(node.den, _memo))
-    elif isinstance(node, Pinned):
-        child = canonicalize(node.child, _memo)
-        vars_ = frozenset(node.vars) & free_variables(child)
-        if not vars_:
-            out = child
-        elif isinstance(child, Pinned):
-            out = Pinned(tuple(sorted(vars_ | frozenset(child.vars))), child.child)
-        else:
-            out = Pinned(tuple(sorted(vars_)), child)
-    else:
-        raise TypeError(f"not a functional node: {node!r}")
-    _memo[id(node)] = out
-    return out
+        for f in kids:
+            factors.extend(f.factors if isinstance(f, Product) else (f,))
+        return factors[0] if len(factors) == 1 else Product(tuple(sorted(factors, key=render)))
+    if isinstance(node, Quotient):
+        return Quotient(*kids)
+    raise TypeError(f"not a functional node: {node!r}")
 
 
 def _render_ref(node: InputRef, names) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .clustering import enumerate_transit_clusters
 from .distributions import InputDistribution, Query
-from .graph import CausalGraph, relations
+from .graph import CausalGraph, _iter_bits, relations
 from .identify import BUDGET_EXCEEDED, SearchBudget, identify
 from .invariance import verify_inputs
 
@@ -167,35 +167,14 @@ def _draw_cluster(rng, g: CausalGraph, z: str):
 
 
 def _wiring_ok(members, internal, receivers, mids, emitters):
-    adj = {m: set() for m in members}
-    for t1, t2 in internal:
-        adj[t1].add(t2)
-
-    def descendants(v):
-        out: set = set()
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return out
-
-    reach = {m: descendants(m) for m in members}
-    if emitters:
-        for r in receivers:
-            if not reach[r] & set(emitters):
-                return False
-    if receivers:
-        for e in emitters:
-            if not any(e in reach[r] for r in receivers):
-                return False
-    for s in mids:
-        if not any(s in adj[t] for t in members):
-            return False
-        if not adj[s]:
-            return False
-    return True
+    """Receivers reach an emitter, emitters descend from a receiver, mids sit between."""
+    g = CausalGraph(members, internal)
+    rec, mid, em = g.mask_of(receivers), g.mask_of(mids), g.mask_of(emitters)
+    if em and any(not g.descendants_mask(1 << r) & em for r in _iter_bits(rec)):
+        return False
+    if rec and any(not g.ancestors_mask(1 << e) & rec for e in _iter_bits(em)):
+        return False
+    return all(g.parent_masks[s] and g.child_masks[s] for s in _iter_bits(mid))
 
 
 def _draw_inputs(rng, order, n_inputs, z):

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 d-separation oracle enumerates simple paths and applies the blocking
-definition literally, reachability is a plain BFS, and the pruned-model
+definition literally, reachability is a plain BFS, the transit-cluster
+oracle checks the five conditions on name sets, and the pruned-model
 construction marginalizes dropped parents directly on the joint table.
 """
 
@@ -85,6 +86,46 @@ def dsep_paths_oracle(g: CausalGraph, x, y, z) -> bool:
         return False
 
     return not any(connected(s) for s in x)
+
+
+def transit_cluster_oracle(g: CausalGraph, t):
+    """(ok, receivers, emitters) of t, from the definition on name sets.
+
+    Receivers have a parent outside t, emitters a child outside it. (a) All
+    receivers share their outside parents and (b) all emitters their outside
+    children. (c) With the edges into receivers and out of emitters removed,
+    every member that has an edge is joined to a receiver or an emitter by
+    an undirected path inside t. (d) When t has emitters, each receiver
+    reaches one by a directed path inside t, and (e) when t has receivers,
+    each emitter is reached from one; the path of length zero counts.
+    """
+    parents, children = full_adjacency(g)
+    t = frozenset(t)
+    rec = frozenset(v for v in t if parents[v] - t)
+    em = frozenset(v for v in t if children[v] - t)
+
+    def inside(start, step):
+        seen, todo = set(start), list(start)
+        while todo:
+            for w in step(todo.pop()):
+                if w in t and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    ok = len({frozenset(parents[r] - t) for r in rec}) <= 1
+    ok = ok and len({frozenset(children[e] - t) for e in em}) <= 1
+    if ok and rec | em:
+        sealed = {v: set() for v in t}
+        for c in t - rec:
+            for p in parents[c] - em:
+                sealed[p].add(c)
+                sealed[c].add(p)
+        joined = inside(rec | em, sealed.get)
+        ok = all(v in joined for v in t if parents[v] | children[v])
+        ok = ok and not (em and any(not inside({r}, children.get) & em for r in rec))
+        ok = ok and not (rec and any(not inside({e}, parents.get) & rec for e in em))
+    return ok, rec, em
 
 
 def random_dag(rng, n_obs: int, p_edge: float = 0.35, n_latents: int = 0) -> CausalGraph:

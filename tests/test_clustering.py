@@ -6,6 +6,7 @@ from dofuse import (
     GraphError,
     apply_cluster,
     check_single_layer,
+    cluster_inputs,
     enumerate_transit_clusters,
     is_transit_cluster,
     parse_graph,
@@ -13,7 +14,6 @@ from dofuse import (
     prune_all,
     receivers_emitters,
 )
-from dofuse.clustering import verify_cluster
 
 import oracles
 import fixtures as fx
@@ -32,8 +32,7 @@ def test_singleton_cluster():
     g = parse_graph("A -> W\nW -> B")
     v = is_transit_cluster(g, {"W"})
     assert v.ok
-    tc = verify_cluster(g, {"W"})
-    assert tc.receivers == {"W"} and tc.emitters == {"W"}
+    assert receivers_emitters(g, {"W"}) == ({"W"}, {"W"})
 
 
 def test_illustration_cluster():
@@ -46,10 +45,27 @@ def test_condition_a_failure():
     assert not v.ok and v.failed_condition == "a"
 
 
+CONDITION_B_GRAPH = parse_graph("P -> R\nR -> E1\nR -> E2\nE1 -> C1\nE2 -> C2")
+CONDITION_B_SET = {"R", "E1", "E2"}
+
+
 def test_condition_b_failure():
-    g = parse_graph("P -> R\nR -> E1\nR -> E2\nE1 -> C1\nE2 -> C2")
-    v = is_transit_cluster(g, {"R", "E1", "E2"})
+    v = is_transit_cluster(CONDITION_B_GRAPH, CONDITION_B_SET)
     assert not v.ok and v.failed_condition == "b"
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda g, t: apply_cluster(g, t, "T"),
+        check_single_layer,
+        lambda g, t: cluster_inputs((), t, "T", g),
+    ],
+    ids=["apply_cluster", "check_single_layer", "cluster_inputs"],
+)
+def test_cluster_operations_name_failed_condition(operation):
+    with pytest.raises(GraphError, match=r"is not a transit cluster \(condition b\)"):
+        operation(CONDITION_B_GRAPH, CONDITION_B_SET)
 
 
 def test_condition_c_failure():
@@ -104,16 +120,21 @@ def test_enumerate_matches_subset_loop():
     from itertools import combinations
 
     rng = np.random.default_rng(8)
-    for _ in range(15):
-        g = oracles.random_connected_dag(rng, 6, 0.45, n_latents=1)
-        found = {tuple(sorted(c.members)) for c in enumerate_transit_clusters(g)}
-        brute = set()
+    with_latent_member = 0
+    for i in range(15):
+        g = oracles.random_connected_dag(rng, 5 + i % 2, 0.45, n_latents=1 + i % 2)
+        found = [(c.members, c.receivers, c.emitters) for c in enumerate_transit_clusters(g)]
+        brute = []
         names = sorted(g.names)
-        for k in range(2, len(names)):
+        for k in range(1, len(names)):
             for combo in combinations(names, k):
-                if is_transit_cluster(g, combo).ok:
-                    brute.add(combo)
-        assert found == brute
+                ok, rec, em = oracles.transit_cluster_oracle(g, combo)
+                assert is_transit_cluster(g, combo).ok == ok, combo
+                if ok and k > 1:
+                    brute.append((frozenset(combo), rec, em))
+        assert found == sorted(brute, key=lambda c: sorted(c[0]))
+        with_latent_member += sum(bool(c[0] & g.latents) for c in found)
+    assert with_latent_member
 
 
 def test_enumeration_guard():
