@@ -33,8 +33,8 @@ from .identify import (
     lift_functional_clustering,
     lift_functional_pruning,
 )
-from .invariance import InvarianceVerdict, decide_invariance, verify_inputs
-from .pipeline import PipelineResult, run_pipeline
+from .invariance import InvarianceVerdict, verify_inputs
+from .pipeline import PipelineResult, decide_invariance, run_pipeline
 from .problem import ProblemFile, load_problem, parse_problem
 from .pruning import (
     PruneResult,

@@ -11,12 +11,11 @@ import json
 import sys
 
 from .clustering import enumerate_transit_clusters
-from .distributions import cluster_inputs
 from .functional import render, to_json
 from .graph import GraphError
-from .identify import SearchBudget, identify
-from .invariance import decide_invariance
-from .pipeline import run_pipeline
+from .identify import BUDGET_EXCEEDED, SearchBudget, identify
+from .invariance import IDENTIFIABLE, UNDETERMINED, InvarianceVerdict
+from .pipeline import _certify, _cluster, run_pipeline
 from .problem import ProblemError, load_problem
 from .pruning import prune_all
 from .simulate import SIM_BUDGET, records_csv, run_campaign
@@ -127,18 +126,18 @@ def cmd_clusters(args) -> int:
 def cmd_invariance(args) -> int:
     problem = load_problem(args.file)
     t_name, members = args.cluster
-    clustered = cluster_inputs(problem.inputs, members, t_name, problem.graph)
-    if not clustered.compatible:
-        print(f"inputs incompatible with cluster: {clustered.reason}", file=sys.stderr)
+    ac = _cluster(problem.graph, problem.inputs, members, t_name)
+    if isinstance(ac, str):
+        print(f"inputs incompatible with cluster: {ac}", file=sys.stderr)
         return 2
-    from .clustering import apply_cluster
-
-    g2 = apply_cluster(problem.graph, members, t_name)
-    search = identify(g2, clustered.inputs, problem.query, _budget(args))
-    verdict = decide_invariance(
-        problem.graph, problem.inputs, members, problem.query,
-        search.identified, t_name,
-    )
+    # identify refuses a query that meets the cluster: the clustered graph lacks it
+    search = identify(ac.graph_after, ac.inputs_after, problem.query, _budget(args))
+    if search.identified:
+        verdict = InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ac.label)
+    elif search.status == BUDGET_EXCEEDED:
+        verdict = InvarianceVerdict(UNDETERMINED, "clustered_search_capped", ac.label)
+    else:
+        verdict = _certify(ac)
     if args.json:
         out = verdict.to_json()
         out["clustered_search"] = search.status
@@ -146,7 +145,7 @@ def cmd_invariance(args) -> int:
     else:
         print(f"clustered search: {search.status}")
         print(f"verdict: {verdict.status} (basis: {verdict.basis})")
-    return 0 if verdict.status != "undetermined" else 2
+    return 0 if verdict.status != UNDETERMINED else 2
 
 
 def cmd_identify(args) -> int:

@@ -1,4 +1,4 @@
-"""Input verification for clustered problems and the invariance verdict.
+"""Input verification for clustered problems and the invariance verdict type.
 
 ``verify_inputs`` walks the clustered input distributions and checks, per
 input, the d-separation and companion-input conditions that make clustering
@@ -6,18 +6,16 @@ safe to reason about when the clustered effect is *not* identifiable. The
 individual checks carry stable line numbers; the trace records, per input,
 the first line that admitted it, or the line whose condition failed.
 
-``decide_invariance`` combines the identifiability verdict in the clustered
-problem with the structural shortcut (a vertex that is both receiver and
-emitter certifies invariance outright) and the input verification into a
-single verdict about the original graph.
+Forming the clustered problem and promoting a verdict through it is the
+pipeline's cluster stage (``pipeline._cluster``, ``pipeline._certify`` and
+``pipeline.decide_invariance``); this module only checks the inputs and
+holds the verdict type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clustering import check_single_layer
-from .distributions import Query
 from .graph import CausalGraph, GraphError, _closure, cut_masks, dsep_masks
 
 IDENTIFIABLE = "identifiable_in_original"
@@ -135,13 +133,6 @@ class InvarianceVerdict:
     cluster: str
     verify: VerifyResult | None = None
 
-    @classmethod
-    def from_verify(cls, result: VerifyResult, label: str) -> "InvarianceVerdict":
-        """The verdict an input verification gives for the cluster ``label``."""
-        if result.ok:
-            return cls(NON_IDENTIFIABLE, "verified_inputs", label, result)
-        return cls(UNDETERMINED, "verify_inputs_false", label, result)
-
     def to_json(self) -> dict:
         return {
             "status": self.status,
@@ -149,38 +140,3 @@ class InvarianceVerdict:
             "cluster": self.cluster,
             "verify": self.verify.to_json() if self.verify else None,
         }
-
-
-def decide_invariance(
-    g: CausalGraph,
-    inputs,
-    t_members,
-    query: Query,
-    clustered_identifiable: bool,
-    t_name: str = "T",
-) -> InvarianceVerdict:
-    """Verdict about the original graph given the clustered outcome.
-
-    ``g`` is the graph in which the cluster was formed. Identifiability in
-    the clustered problem transfers unconditionally; non-identifiability
-    transfers when the cluster has a vertex that is both receiver and
-    emitter, or when the clustered inputs verify.
-    """
-    from .clustering import apply_cluster
-    from .distributions import cluster_inputs
-
-    t = frozenset(t_members)
-    if t & (query.x | query.y):
-        raise GraphError("query must not intersect the cluster")
-    label = ",".join(sorted(t))
-    if clustered_identifiable:
-        return InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", label)
-    if check_single_layer(g, t):
-        return InvarianceVerdict(NON_IDENTIFIABLE, "single_layer", label)
-    while g.has_vertex(t_name):
-        t_name += "_"
-    clustered = cluster_inputs(inputs, t, t_name, g)
-    if not clustered.compatible:
-        raise GraphError(f"inputs are not compatible with the cluster: {clustered.reason}")
-    g2 = apply_cluster(g, t, t_name)
-    return InvarianceVerdict.from_verify(verify_inputs(g2, clustered.inputs, t_name), label)

@@ -6,11 +6,16 @@ identifying functional is lifted through every clustering and then through
 the pruning; a negative search outcome is promoted to a verdict about the
 original problem only when every applied clustering certifies invariance
 (pruning steps that applied are invariant by construction).
+
+Clustering is one stage here: ``_cluster`` forms a clustered problem and
+``_certify`` is the one promotion of a negative verdict through it. Layer
+functions are called through this module's globals, so they can be wrapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .clustering import apply_cluster, check_single_layer, enumerate_transit_clusters
 from .distributions import Query, cluster_inputs
@@ -24,7 +29,8 @@ from .identify import (
     lift_functional_clustering,
     lift_functional_pruning,
 )
-from .invariance import NON_IDENTIFIABLE, InvarianceVerdict, verify_inputs
+from .invariance import IDENTIFIABLE, NON_IDENTIFIABLE, UNDETERMINED, InvarianceVerdict
+from .invariance import verify_inputs
 from .pruning import PruneResult, prune_all
 
 
@@ -34,9 +40,12 @@ class AppliedCluster:
     t_name: str
     graph_before: CausalGraph  # graph the cluster was formed in
     graph_after: CausalGraph
-    inputs_before: tuple
     inputs_after: tuple
     mapping: object
+
+    @property
+    def label(self) -> str:
+        return ",".join(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -55,37 +64,91 @@ class PipelineResult:
         return self.status in ("identified", "non_identifiable")
 
 
-def _select_clusters(g, inputs, query, requested=None, auto=True):
-    """Requested clusters, or greedy largest non-overlapping compatible ones."""
-    picked = []
-    if requested:
-        for name, members in requested:
-            picked.append((frozenset(members), name))
-        return picked
-    if not auto or not g.is_connected():
-        return []
-    try:
-        found = enumerate_transit_clusters(g)
-    except GraphError:
-        return []
-    found = sorted(found, key=lambda c: (-len(c.members), tuple(sorted(c.members))))
-    taken: set = set()
-    blocked = query.x | query.y
-    names_used = set(g.names)
-    k = 0
-    for cand in found:
-        if cand.members & blocked or cand.members & taken:
-            continue
-        trial = cluster_inputs(inputs, cand.members, "_probe", g)
-        if not trial.compatible:
-            continue
-        k += 1
-        while f"T{k}" in names_used:
-            k += 1
-        picked.append((cand.members, f"T{k}"))
-        names_used.add(f"T{k}")
-        taken |= cand.members
-    return picked
+def _cluster(g: CausalGraph, inputs, members: frozenset, t_name: str):
+    """``AppliedCluster`` of ``members`` as ``t_name``, or why the inputs refuse it.
+
+    Raises ``GraphError`` when ``members`` is not a transit cluster of ``g``.
+    """
+    result = cluster_inputs(inputs, members, t_name, g)
+    if not result.compatible:
+        return result.reason
+    g2 = apply_cluster(g, members, t_name)
+    return AppliedCluster(members, t_name, g, g2, result.inputs, result.mapping)
+
+
+def _certify(ac: AppliedCluster) -> InvarianceVerdict:
+    """Whether a negative verdict after clustering ``ac`` holds before it too."""
+    if check_single_layer(ac.graph_before, ac.members):
+        return InvarianceVerdict(NON_IDENTIFIABLE, "single_layer", ac.label)
+    res = verify_inputs(ac.graph_after, ac.inputs_after, ac.t_name)
+    if res.ok:
+        return InvarianceVerdict(NON_IDENTIFIABLE, "verified_inputs", ac.label, res)
+    return InvarianceVerdict(UNDETERMINED, "verify_inputs_false", ac.label, res)
+
+
+def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
+    """The requested clusters, or greedily the largest compatible transit ones.
+
+    A requested cluster that overlaps an earlier one, meets the query or
+    whose inputs are incompatible raises ``GraphError``; such an automatic
+    candidate is skipped. An automatic name is the first free ``T{k}``.
+    """
+    auto = requested is None
+    if auto:
+        try:
+            found = enumerate_transit_clusters(g)
+        except GraphError:  # disconnected, or over the enumeration guard
+            found = []
+        found.sort(key=lambda c: (-len(c.members), tuple(sorted(c.members))))
+        requested = [(None, c.members) for c in found]
+    applied, taken, used = [], frozenset(), set(g.names)
+    for t_name, members in requested:
+        t_name = t_name or next(f"T{k}" for k in count(1) if f"T{k}" not in used)
+        members = frozenset(members)
+        if members & taken:
+            ac = f"clusters overlap on {sorted(members & taken)}"
+        elif members & (query.x | query.y):
+            ac = "cluster intersects the query"
+        else:
+            try:
+                ac = _cluster(g, inputs, members, t_name)
+            except GraphError:
+                if not auto:
+                    raise
+                continue  # an earlier clustering may have invalidated this candidate
+            if isinstance(ac, str):
+                ac = f"incompatible cluster {t_name}: {ac}"
+        if isinstance(ac, AppliedCluster):
+            applied.append(ac)
+            taken, g, inputs = taken | members, ac.graph_after, ac.inputs_after
+            used.add(t_name)
+        elif not auto:
+            raise GraphError(ac)
+    return tuple(applied)
+
+
+def decide_invariance(
+    g: CausalGraph, inputs, t_members, query: Query, clustered_identifiable: bool, t_name="T"
+) -> InvarianceVerdict:
+    """Verdict about the original graph given the clustered outcome.
+
+    ``g`` is the graph in which the cluster was formed. Identifiability in
+    the clustered problem transfers unconditionally; non-identifiability
+    transfers when the cluster has a vertex that is both receiver and
+    emitter, or when the clustered inputs verify. Inputs that are not
+    compatible with the cluster raise ``GraphError``.
+    """
+    t = frozenset(t_members)
+    if t & (query.x | query.y):
+        raise GraphError("query must not intersect the cluster")
+    if clustered_identifiable:
+        return InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ",".join(sorted(t)))
+    while g.has_vertex(t_name):
+        t_name += "_"
+    ac = _cluster(g, inputs, t, t_name)
+    if isinstance(ac, str):
+        raise GraphError(f"inputs are not compatible with the cluster: {ac}")
+    return _certify(ac)
 
 
 def run_pipeline(
@@ -99,7 +162,6 @@ def run_pipeline(
     requested_clusters=None,
 ) -> PipelineResult:
     inputs = tuple(inputs)
-    budget = budget or SearchBudget()
 
     if prune:
         pruned = prune_all(g, inputs, query)
@@ -107,67 +169,22 @@ def run_pipeline(
         pruned = PruneResult(g, inputs, query, (), tuple(range(len(inputs))))
     cur_g, cur_inputs, cur_q = pruned.graph, pruned.inputs, pruned.query
 
-    applied = []
-    if cluster:
-        wanted = _select_clusters(
-            cur_g, cur_inputs, cur_q, requested_clusters, auto=requested_clusters is None
-        )
-        seen: set = set()
-        for members, t_name in wanted:
-            if members & seen:
-                raise GraphError(f"clusters overlap on {sorted(members & seen)}")
-            seen |= members
-        for members, t_name in wanted:
-            if members & (cur_q.x | cur_q.y):
-                raise GraphError("cluster intersects the query")
-            try:
-                result = cluster_inputs(cur_inputs, members, t_name, cur_g)
-            except GraphError:
-                # an earlier clustering may have invalidated this candidate
-                if requested_clusters:
-                    raise
-                continue
-            if not result.compatible:
-                if requested_clusters:
-                    raise GraphError(f"incompatible cluster {t_name}: {result.reason}")
-                continue
-            g2 = apply_cluster(cur_g, members, t_name)
-            applied.append(
-                AppliedCluster(
-                    frozenset(members), t_name, cur_g, g2, cur_inputs,
-                    result.inputs, result.mapping,
-                )
-            )
-            cur_g, cur_inputs = g2, result.inputs
-
+    applied = _apply_clusters(cur_g, cur_inputs, cur_q, requested_clusters) if cluster else ()
+    if applied:
+        cur_g, cur_inputs = applied[-1].graph_after, applied[-1].inputs_after
     search = identify(cur_g, cur_inputs, cur_q, budget)
 
     if search.status == IDENTIFIED:
-        reduced = search.functional
-        lifted = reduced
+        lifted = search.functional
         for ac in reversed(applied):
             lifted = lift_functional_clustering(lifted, ac.mapping)
         lifted = lift_functional_pruning(lifted, pruned)
-        return PipelineResult(
-            "identified", query, lifted, reduced, pruned, tuple(applied), search
-        )
-
+        return PipelineResult(IDENTIFIED, query, lifted, search.functional, pruned, applied, search)
     if search.status == BUDGET_EXCEEDED:
-        return PipelineResult(
-            "budget_exceeded", query, None, None, pruned, tuple(applied), search
-        )
+        return PipelineResult(BUDGET_EXCEEDED, query, None, None, pruned, applied, search)
 
     # saturated without identification: promote through the clusterings
-    verdicts = []
-    for ac in reversed(applied):
-        label = ",".join(sorted(ac.members))
-        if check_single_layer(ac.graph_before, ac.members):
-            verdicts.append(InvarianceVerdict(NON_IDENTIFIABLE, "single_layer", label))
-        else:
-            res = verify_inputs(ac.graph_after, ac.inputs_after, ac.t_name)
-            verdicts.append(InvarianceVerdict.from_verify(res, label))
+    verdicts = tuple(_certify(ac) for ac in reversed(applied))
     all_certified = all(v.status == NON_IDENTIFIABLE for v in verdicts)
     status = "non_identifiable" if all_certified else "undetermined"
-    return PipelineResult(
-        status, query, None, None, pruned, tuple(applied), search, tuple(verdicts)
-    )
+    return PipelineResult(status, query, None, None, pruned, applied, search, verdicts)

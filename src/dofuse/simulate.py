@@ -302,6 +302,7 @@ def summarize(records) -> dict:
     return {
         "instances": len(records),
         "discarded": sum(1 for r in records if r.discarded),
+        "t1_capped": sum(1 for r in records if r.t1_capped),
         "settings": counts,
         "rows": rows,
     }
@@ -311,13 +312,14 @@ def records_csv(records) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
-        ["seed", "graph_size", "n_inputs", "setting", "t_unclustered_ms", "t_clustered_ms"]
+        ["seed", "graph_size", "n_inputs", "setting", "t_unclustered_ms", "t_clustered_ms",
+         "t1_capped"]
     )
     for r in records:
         writer.writerow(
             [
                 r.seed, r.graph_size, r.n_inputs, r.setting or "discarded",
-                f"{r.t_unclustered_ms:.3f}", f"{r.t_clustered_ms:.3f}",
+                f"{r.t_unclustered_ms:.3f}", f"{r.t_clustered_ms:.3f}", int(r.t1_capped),
             ]
         )
     return out.getvalue()

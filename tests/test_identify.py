@@ -232,6 +232,17 @@ def test_functional_json_round_trip():
     assert canonicalize(from_json(to_json(f))) == f
 
 
+def test_canonical_form_flattens_nested_product_and_sum():
+    nested_product = Product(
+        (InputRef(2, ("Y",)), Product((InputRef(1, ("Z",)), InputRef(0, ("X",)))))
+    )
+    assert canonicalize(nested_product) == Product(
+        (InputRef(0, ("X",)), InputRef(2, ("Y",)), InputRef(1, ("Z",)))
+    )
+    nested_sum = SumOver(("B", "C"), SumOver(("A",), InputRef(0, ("Y", "B", "A"))))
+    assert canonicalize(nested_sum) == SumOver(("A", "B"), InputRef(0, ("A", "B", "Y")))
+
+
 def test_counterexample_original_identifies():
     inputs = (parse_distribution("p(X,Z1,Z2)"), parse_distribution("p(Y,Z1,Z2)"))
     r = identify(fx.COUNTER_GRAPH, inputs, fx.COUNTER_QUERY)

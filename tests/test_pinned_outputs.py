@@ -3,7 +3,8 @@
 Status, search term count, search depth and the rendered lifted functional
 of each query, recorded once and compared byte for byte, so a refactor of
 the d-separation kernel, the search or the lifting that changes any of them
-fails here. Also checks that ``functional.transform`` maps a shared subterm
+fails here. The automatically selected clusters (names, members and order)
+are pinned too. Also checks that ``functional.transform`` maps a shared subterm
 once.
 """
 
@@ -48,6 +49,9 @@ PROBLEMS = {
     },
     "front-door": (FRONT_DOOR, ("p(X,M,Y)",), "p(Y | do(X))"),
     "bow": (BOW, ("p(X,Y)",), "p(Y | do(X))"),
+    "athero-row2-expanded": (
+        fx.ATHERO_EXPANDED, ("p(Y,L,H1,H2,S,M1,M2,B1,B2)",), "p(Y | do(L))"
+    ),
 }
 
 # (pipeline status, search terms, search depth, render of the functional)
@@ -105,14 +109,33 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_pipeline_output_pinned(name):
+# (name, members) of the automatically selected clusters, in order of application
+PINNED_CLUSTERS = {
+    "cluster-i": [("T3", {"E1", "E2", "R", "S1", "S2"}), ("T4", {"T1", "T2"})],
+    "cluster-iii": [("T3", {"E1", "E2", "R", "S1", "S2"}), ("T4", {"T1", "T2"})],
+    "athero-row2-expanded": [("T1", {"H1", "H2"}), ("T2", {"M1", "M2"})],
+    "tobacco-s": [("T1", {"E", "M"})],
+}
+
+
+def _pipeline(name):
     g, inputs, query = PROBLEMS[name]
     inputs = [parse_distribution(d) if isinstance(d, str) else d for d in inputs]
     query = parse_query(query) if isinstance(query, str) else query
-    result = run_pipeline(g, inputs, query)
+    return run_pipeline(g, inputs, query)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pipeline_output_pinned(name):
+    result = _pipeline(name)
     rendered = render(result.functional) if result.functional is not None else None
     assert (result.status, result.search.terms, result.search.depth, rendered) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLUSTERS))
+def test_auto_clusters_pinned(name):
+    clusters = [(ac.t_name, set(ac.members)) for ac in _pipeline(name).clusters]
+    assert clusters == PINNED_CLUSTERS[name]
 
 
 def test_transform_maps_shared_subterms_once():

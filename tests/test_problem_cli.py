@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dofuse import ProblemFile, parse_problem
+from dofuse import GraphError, ProblemFile, parse_problem, run_pipeline
 from dofuse.cli import main
 from dofuse.problem import ProblemError
 
@@ -184,6 +184,44 @@ def test_cli_overlapping_clusters_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "overlap" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("Q=R,X", "cluster intersects the query"), ("T=T1,T2", "incompatible cluster T")],
+    ids=["query", "incompatible"],
+)
+def test_requested_cluster_refused(tmp_path, capsys, spec, message):
+    inputs = [fx_parse(s) for s in fx.CLUSTER_CASES["ii"]]
+    name, members = spec.split("=")
+    with pytest.raises(GraphError, match=message):
+        run_pipeline(
+            fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_QUERY, prune=False,
+            requested_clusters=[(name, frozenset(members.split(",")))],
+        )
+    path = _write(tmp_path, problem_text(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_QUERY))
+    rc = main(["identify", "-f", path, "--no-prune", "--cluster", spec])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_invariance_capped_search_is_undetermined(tmp_path, capsys):
+    text = problem_text(
+        fx.ATHERO_EXPANDED, [fx_parse("p(Y,L,H1,H2,S,M1,M2,B1,B2)")], fx_query("p(Y|do(L))")
+    )
+    path = _write(tmp_path, text)
+    rc = main([
+        "invariance", "-f", path, "--cluster", "B=B1,B2", "--budget-terms", "50", "--json",
+    ])
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "status": "undetermined",
+        "basis": "clustered_search_capped",
+        "cluster": "B1,B2",
+        "verify": None,
+        "clustered_search": "budget_exceeded",
+    }
+    assert rc == 2
 
 
 def test_cli_simulate_smoke(tmp_path, capsys):

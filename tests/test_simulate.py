@@ -104,19 +104,23 @@ def test_worker_count_does_not_change_classifications():
 def test_csv_shape():
     records = [
         InstanceRecord(1, 8, 2, "A", 10.0, 5.0),
-        InstanceRecord(2, 9, 3, None, 1.0, 0.0, discarded=True),
+        InstanceRecord(2, 9, 3, None, 1.0, 0.0, discarded=True, t1_capped=True),
     ]
     lines = records_csv(records).strip().splitlines()
-    assert lines[0] == "seed,graph_size,n_inputs,setting,t_unclustered_ms,t_clustered_ms"
-    assert lines[1].startswith("1,8,2,A,")
+    assert lines[0] == (
+        "seed,graph_size,n_inputs,setting,t_unclustered_ms,t_clustered_ms,t1_capped"
+    )
+    assert lines[1].startswith("1,8,2,A,") and lines[1].endswith(",0")
+    assert lines[2].endswith(",1")
     assert "discarded" in lines[2]
 
 
 def test_summary_counts_discarded():
     records = [
         InstanceRecord(1, 8, 2, "A", 10.0, 5.0),
-        InstanceRecord(2, 9, 3, None, 1.0, 0.0, discarded=True),
+        InstanceRecord(2, 9, 3, None, 1.0, 0.0, discarded=True, t1_capped=True),
     ]
     s = summarize(records)
     assert s["discarded"] == 1
+    assert s["t1_capped"] == 1
     assert s["settings"]["A"] == 1
