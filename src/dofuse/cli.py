@@ -15,7 +15,7 @@ from .functional import render, to_json
 from .graph import GraphError
 from .identify import BUDGET_EXCEEDED, SearchBudget, identify
 from .invariance import IDENTIFIABLE, UNDETERMINED, InvarianceVerdict
-from .pipeline import _certify, _cluster, run_pipeline
+from .pipeline import _certify, _cluster, _require_outside_query, run_pipeline
 from .problem import ProblemError, load_problem
 from .pruning import prune_all
 from .simulate import SIM_BUDGET, records_csv, run_campaign
@@ -126,11 +126,11 @@ def cmd_clusters(args) -> int:
 def cmd_invariance(args) -> int:
     problem = load_problem(args.file)
     t_name, members = args.cluster
+    _require_outside_query(members, problem.query)
     ac = _cluster(problem.graph, problem.inputs, members, t_name)
     if isinstance(ac, str):
         print(f"inputs incompatible with cluster: {ac}", file=sys.stderr)
         return 2
-    # identify refuses a query that meets the cluster: the clustered graph lacks it
     search = identify(ac.graph_after, ac.inputs_after, problem.query, _budget(args))
     if search.identified:
         verdict = InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ac.label)

@@ -151,20 +151,18 @@ def dedup_inputs(inputs):
 
 def restrict_inputs(inputs, w) -> tuple:
     """Inputs restricted to w: keep p(a∩w | do(b), c) when a∩w ≠ ∅ and b∪c ⊆ w."""
-    return tuple(dist for dist, _ in _restrict_with_indices(inputs, w))
+    return _restrict_with_indices(inputs, w)[0]
 
 
 def _restrict_with_indices(inputs, w):
+    """The restricted inputs and, for each, its index in ``inputs``."""
     w = frozenset(w)
-    out = []
+    kept, indices = [], []
     for i, dist in enumerate(inputs):
-        if not dist.b | dist.c <= w:
-            continue
-        kept = dist.a & w
-        if not kept:
-            continue
-        out.append((InputDistribution(kept, dist.b, dist.c), i))
-    return out
+        if dist.a & w and dist.b | dist.c <= w:
+            kept.append(InputDistribution(dist.a & w, dist.b, dist.c))
+            indices.append(i)
+    return tuple(kept), tuple(indices)
 
 
 # -- clustering of inputs -----------------------------------------------------

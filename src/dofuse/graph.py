@@ -18,20 +18,9 @@ as a public convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-OBSERVED = "observed"
-LATENT = "latent"
-
 
 class GraphError(ValueError):
     """Malformed graph input: cycles, bad latents, unknown or duplicate ids."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    kind: str  # OBSERVED or LATENT
 
 
 def _iter_bits(mask: int):
@@ -134,10 +123,6 @@ class CausalGraph:
     @property
     def latents(self) -> frozenset:
         return frozenset(self.names[self.n_observed:])
-
-    def vertex(self, name: str) -> Vertex:
-        i = self._require(name)
-        return Vertex(name, OBSERVED if i < self.n_observed else LATENT)
 
     def has_vertex(self, name: str) -> bool:
         return name in self._index

@@ -127,6 +127,11 @@ def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
     return tuple(applied)
 
 
+def _require_outside_query(members, query: Query):
+    if members & (query.x | query.y):
+        raise GraphError("query must not intersect the cluster")
+
+
 def decide_invariance(
     g: CausalGraph, inputs, t_members, query: Query, clustered_identifiable: bool, t_name="T"
 ) -> InvarianceVerdict:
@@ -139,8 +144,7 @@ def decide_invariance(
     compatible with the cluster raise ``GraphError``.
     """
     t = frozenset(t_members)
-    if t & (query.x | query.y):
-        raise GraphError("query must not intersect the cluster")
+    _require_outside_query(t, query)
     if clustered_identifiable:
         return InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ",".join(sorted(t)))
     while g.has_vertex(t_name):

@@ -1,18 +1,23 @@
 """The three pruning operations with full precondition checking.
 
-Each operation returns a ``PruneStep`` carrying the transformed problem, the
-removed vertices, the condition checks performed and, when a condition
-fails, a refusal with its witness. Refusals are values, not exceptions; the
-pipeline records them and moves on. The two later operations require the
-graph to already be restricted to the ancestors of the outcome, which is
-enforced.
+Each operation only picks a removal set of observed vertices and checks the
+conditions of its theorem; ``_remove`` then forms every reduced problem (the
+induced subgraph, the restricted inputs and the query without the removed
+interventions). A ``PruneStep`` carries that problem, the removed vertices,
+the condition checks performed and, when a condition fails, a refusal with
+its witness. Refusals are values, not exceptions; the pipeline records them
+and moves on. The two later operations require the graph to already be
+restricted to the ancestors of the outcome, which is enforced.
+``prune_all`` restricts the original inputs once to the surviving vertices,
+which gives the same inputs as the steps' nested restrictions together with
+the original index of each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .distributions import Query, _restrict_with_indices
+from .distributions import Query, _restrict_with_indices, restrict_inputs
 from .graph import CausalGraph, GraphError, _closure, _iter_bits, cut_masks, induced_subgraph, reach
 
 NON_ANCESTORS = "non_ancestors"
@@ -35,7 +40,6 @@ class PruneStep:
     graph: CausalGraph
     inputs: tuple
     query: Query
-    input_indices: tuple
     checked: tuple = ()
     refusal: str | None = None
 
@@ -72,19 +76,41 @@ class PruneResult:
 
 def _noop(theorem, g, inputs, query, checked=(), refusal=None):
     return PruneStep(
-        theorem, refusal is None, frozenset(), g, tuple(inputs), query,
-        tuple(range(len(inputs))), tuple(checked), refusal,
+        theorem, refusal is None, frozenset(), g, tuple(inputs), query, tuple(checked), refusal
     )
 
 
-def is_ancestral(g: CausalGraph, query: Query) -> bool:
-    y = g.mask_of(query.y)
-    keep = g.ancestors_mask(y, reflexive=True)
-    return keep & g.observed_mask == g.observed_mask
+def _remove(theorem, g, inputs, query, z_mask, checked=()):
+    """The applied step that removes the observed vertices in ``z_mask``."""
+    kept = g.names_of(g.observed_mask & ~z_mask)
+    return PruneStep(
+        theorem, True, g.names_of(z_mask), induced_subgraph(g, kept | g.latents),
+        restrict_inputs(inputs, kept), Query(query.y, query.x & kept), tuple(checked),
+    )
+
+
+def _inputs_avoid(inputs, z_names, condition, label=""):
+    """One check per input that it neither intervenes nor conditions inside
+    ``z_names``, up to the first that does, and the refusal that one gives."""
+    checked = []
+    for i, dist in enumerate(inputs):
+        inside = (dist.b | dist.c) & z_names
+        witness = f"input {i} uses {sorted(inside)}" if inside else f"input {i}"
+        checked.append(ConditionCheck(condition, not inside, witness))
+        if inside:
+            return checked, (
+                f"input {i} ({dist.render()}) intervenes or conditions on "
+                f"{label}{sorted(inside)[0]}"
+            )
+    return checked, None
+
+
+def _non_ancestors(g, query):
+    return g.observed_mask & ~g.ancestors_mask(g.mask_of(query.y), reflexive=True)
 
 
 def _require_ancestral(g, query):
-    if not is_ancestral(g, query):
+    if _non_ancestors(g, query):
         raise GraphError("graph must first be pruned to the ancestors of the outcome")
 
 
@@ -94,36 +120,15 @@ def prune_non_ancestors(g: CausalGraph, inputs, query: Query) -> PruneStep:
     Applies only when no input intervenes or conditions on a non-ancestor;
     the intervention set of the query shrinks to its ancestral part.
     """
-    y = g.mask_of(query.y)
-    an_plus = g.ancestors_mask(y) | y
-    removed_mask = g.observed_mask & ~an_plus
-    if not removed_mask:
+    z_mask = _non_ancestors(g, query)
+    if not z_mask:
         return _noop(NON_ANCESTORS, g, inputs, query)
-    an_obs = g.names_of(an_plus & g.observed_mask)
-    checked = []
-    for i, dist in enumerate(inputs):
-        outside = (dist.b | dist.c) - an_obs
-        checked.append(
-            ConditionCheck(
-                "inputs_within_ancestors",
-                not outside,
-                f"input {i} uses {sorted(outside)}" if outside else f"input {i}",
-            )
-        )
-        if outside:
-            return _noop(
-                NON_ANCESTORS, g, inputs, query, checked,
-                f"input {i} ({dist.render()}) intervenes or conditions on "
-                f"non-ancestor {sorted(outside)[0]}",
-            )
-    g2 = induced_subgraph(g, g.names_of(an_plus))
-    kept = _restrict_with_indices(inputs, an_obs)
-    new_x = query.x & an_obs
-    q2 = Query(query.y, new_x)
-    return PruneStep(
-        NON_ANCESTORS, True, g.names_of(removed_mask), g2,
-        tuple(d for d, _ in kept), q2, tuple(i for _, i in kept), tuple(checked),
+    checked, refusal = _inputs_avoid(
+        inputs, g.names_of(z_mask), "inputs_within_ancestors", "non-ancestor "
     )
+    if refusal:
+        return _noop(NON_ANCESTORS, g, inputs, query, checked, refusal)
+    return _remove(NON_ANCESTORS, g, inputs, query, z_mask, checked)
 
 
 def prune_post_intervention(g: CausalGraph, inputs, query: Query) -> PruneStep:
@@ -136,56 +141,29 @@ def prune_post_intervention(g: CausalGraph, inputs, query: Query) -> PruneStep:
     """
     _require_ancestral(g, query)
     x = g.mask_of(query.x)
-    y = g.mask_of(query.y)
     par, ch = cut_masks(g.parent_masks, g.child_masks, x, 0)
-    connected = reach(par, ch, y, x)
-    z_mask = g.observed_mask & ~connected & ~x
+    z_mask = g.observed_mask & ~reach(par, ch, g.mask_of(query.y), x) & ~x
     if not z_mask:
         return _noop(POST_INTERVENTION, g, inputs, query)
-    z_names = g.names_of(z_mask)
-    checked = []
 
-    de_x = g.descendants_mask(x)
-    bad = z_mask & de_x
-    checked.append(
-        ConditionCheck(
-            "a_no_descendants_of_x", not bad,
-            f"{sorted(g.names_of(bad))}" if bad else "",
-        )
-    )
+    bad = sorted(g.names_of(z_mask & g.descendants_mask(x)))
+    checked = [ConditionCheck("a_no_descendants_of_x", not bad, f"{bad}" if bad else "")]
     if bad:
         return _noop(
             POST_INTERVENTION, g, inputs, query, checked,
-            f"candidate {sorted(g.names_of(bad))[0]} descends from the intervention",
+            f"candidate {bad[0]} descends from the intervention",
         )
 
-    keep_obs = g.names_of(g.observed_mask & ~z_mask)
-    for i, dist in enumerate(inputs):
-        inside = (dist.b | dist.c) & z_names
-        checked.append(
-            ConditionCheck(
-                "b_inputs_outside_pruned", not inside,
-                f"input {i} uses {sorted(inside)}" if inside else f"input {i}",
-            )
-        )
-        if inside:
-            return _noop(
-                POST_INTERVENTION, g, inputs, query, checked,
-                f"input {i} ({dist.render()}) intervenes or conditions on "
-                f"{sorted(inside)[0]}",
-            )
+    more, refusal = _inputs_avoid(inputs, g.names_of(z_mask), "b_inputs_outside_pruned")
+    checked += more
+    if refusal:
+        return _noop(POST_INTERVENTION, g, inputs, query, checked, refusal)
 
     ok, witness = _condition_c(g, z_mask, x)
     checked.append(ConditionCheck("c_confounder_cover", ok, witness))
     if not ok:
         return _noop(POST_INTERVENTION, g, inputs, query, checked, witness)
-
-    g2 = induced_subgraph(g, keep_obs | g.latents)
-    kept = _restrict_with_indices(inputs, keep_obs)
-    return PruneStep(
-        POST_INTERVENTION, True, z_names, g2,
-        tuple(d for d, _ in kept), query, tuple(i for _, i in kept), tuple(checked),
-    )
+    return _remove(POST_INTERVENTION, g, inputs, query, z_mask, checked)
 
 
 def _condition_c(g, z_mask, x_mask):
@@ -230,34 +208,21 @@ def prune_isolated(g: CausalGraph, inputs, query: Query) -> PruneStep:
     variables can go. The largest union over all W is removed, to a fixpoint.
     """
     _require_ancestral(g, query)
-    xy = query.x | query.y
-    cur_g, cur_inputs = g, tuple(inputs)
-    indices = tuple(range(len(inputs)))
-    removed_all = set()
-    witnesses = []
+    step = _noop(ISOLATED, g, inputs, query)
+    removed, witnesses = frozenset(), []
     while True:
-        best = None
-        blocked = set().union(xy, *((d.b | d.c) for d in cur_inputs))
-        for w in sorted(cur_g.observed):
-            z_union = _prunable_through(cur_g, w, blocked)
-            if z_union and (best is None or len(z_union) > len(best[1])):
-                best = (w, z_union)
-        if best is None:
-            break
-        w, z_union = best
-        keep = cur_g.observed - z_union
-        cur_g = induced_subgraph(cur_g, keep | cur_g.latents)
-        kept = _restrict_with_indices(cur_inputs, keep)
-        indices = tuple(indices[j] for _, j in kept)
-        cur_inputs = tuple(d for d, _ in kept)
-        removed_all |= z_union
-        witnesses.append(ConditionCheck("isolated_through", True, f"{sorted(z_union)} through {w}"))
-    if not removed_all:
-        return _noop(ISOLATED, g, inputs, query)
-    return PruneStep(
-        ISOLATED, True, frozenset(removed_all), cur_g,
-        cur_inputs, query, indices, tuple(witnesses),
-    )
+        cur = step.graph
+        blocked = set().union(query.x, query.y, *((d.b | d.c) for d in step.inputs))
+        # max keeps the first of equally large unions, in vertex order
+        w, z = max(
+            ((w, _prunable_through(cur, w, blocked)) for w in sorted(cur.observed)),
+            key=lambda wz: len(wz[1]),
+        )
+        if not z:
+            return replace(step, removed=removed, checked=tuple(witnesses))
+        step = _remove(ISOLATED, cur, step.inputs, step.query, cur.mask_of(z))
+        removed |= z
+        witnesses.append(ConditionCheck("isolated_through", True, f"{sorted(z)} through {w}"))
 
 
 def _prunable_through(g, w, blocked):
@@ -279,28 +244,21 @@ def _prunable_through(g, w, blocked):
 
 
 def prune_all(g: CausalGraph, inputs, query: Query) -> PruneResult:
-    """Full pipeline: non-ancestors once, then the other two to a fixpoint."""
-    steps = []
-    indices = tuple(range(len(inputs)))
-    cur_g, cur_inputs, cur_q = g, tuple(inputs), query
+    """Full pipeline: non-ancestors once, then the other two to a fixpoint.
 
-    step = prune_non_ancestors(cur_g, cur_inputs, cur_q)
-    steps.append(step)
-    if step.applied:
-        cur_g, cur_inputs, cur_q = step.graph, step.inputs, step.query
-        indices = tuple(indices[j] for j in step.input_indices)
-
-    if is_ancestral(cur_g, cur_q):
-        while True:
-            progress = False
-            for op in (prune_post_intervention, prune_isolated):
-                step = op(cur_g, cur_inputs, cur_q)
-                steps.append(step)
-                if step.applied and step.removed:
-                    cur_g, cur_inputs, cur_q = step.graph, step.inputs, step.query
-                    indices = tuple(indices[j] for j in step.input_indices)
-                    progress = True
-            if not progress:
-                break
-    removed = frozenset(g.observed) - frozenset(cur_g.observed)
-    return PruneResult(cur_g, cur_inputs, cur_q, tuple(steps), indices, removed)
+    A refused non-ancestor step leaves non-ancestors behind, so the other
+    two operations only run after an applied one.
+    """
+    cur = prune_non_ancestors(g, inputs, query)
+    steps = [cur]
+    progress = cur.applied
+    while progress:
+        progress = False
+        for op in (prune_post_intervention, prune_isolated):
+            step = op(cur.graph, cur.inputs, cur.query)
+            steps.append(step)
+            if step.applied and step.removed:
+                cur, progress = step, True
+    kept, indices = _restrict_with_indices(inputs, cur.graph.observed)
+    removed = frozenset(g.observed) - cur.graph.observed
+    return PruneResult(cur.graph, kept, cur.query, tuple(steps), indices, removed)

@@ -224,6 +224,29 @@ def test_cli_invariance_capped_search_is_undetermined(tmp_path, capsys):
     assert rc == 2
 
 
+NAPKIN = """
+[graph]
+W -> R
+R -> X
+X -> Y
+latent U1 : W X
+latent U2 : W Y
+
+[inputs]
+p(W,R,X,Y)
+
+[query]
+p(Y | do(X))
+"""
+
+
+def test_cli_invariance_refuses_cluster_meeting_query(tmp_path, capsys):
+    path = _write(tmp_path, NAPKIN)
+    rc = main(["invariance", "-f", path, "--cluster", "Q9=R,U1,W,X"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: query must not intersect the cluster\n"
+
+
 def test_cli_simulate_smoke(tmp_path, capsys):
     csv_path = tmp_path / "records.csv"
     rc = main([

@@ -4,10 +4,12 @@ import numpy as np
 
 from dofuse import (
     InputDistribution,
+    Query,
     cluster_inputs,
     d_separated,
     edge_cut,
     parse_distribution,
+    prune_all,
     restrict_inputs,
     verify_inputs,
 )
@@ -34,10 +36,32 @@ def test_restrict_intersection_containment():
         w2 = {n for n in names if rng.random() < 0.7}
         both = restrict_inputs(inputs, w1 & w2)
         staged = restrict_inputs(restrict_inputs(inputs, w1), w2)
-        staged_keys = list(staged)
-        for d in both:
-            assert d in staged_keys
-            staged_keys.remove(d)
+        assert both == staged
+
+
+def test_prune_all_restricts_original_inputs_once():
+    """The steps restrict inputs to nested vertex sets; prune_all's inputs
+    and indices are one restriction of the original inputs to the survivors."""
+    rng = np.random.default_rng(78)
+    for _ in range(300):
+        g = oracles.random_dag(rng, int(rng.integers(4, 11)), 0.35, int(rng.integers(0, 3)))
+        obs = sorted(g.observed)
+        inputs = []
+        for _ in range(int(rng.integers(0, 4))):
+            roles = rng.choice(4, size=len(obs), p=[0.5, 0.05, 0.05, 0.4])
+            a = {v for v, r in zip(obs, roles) if r == 0}
+            if a:
+                b = {v for v, r in zip(obs, roles) if r == 1}
+                inputs.append(InputDistribution(a, b, {v for v, r in zip(obs, roles) if r == 2}))
+        y = obs[int(rng.integers(len(obs)))]
+        x = {v for v in obs if v != y and rng.random() < 0.25}
+        res = prune_all(g, inputs, Query({y}, x))
+        w = res.graph.observed
+        once = [(i, d) for i, d in enumerate(inputs) if d.a & w and d.b | d.c <= w]
+        assert res.input_indices == tuple(i for i, _ in once)
+        assert res.inputs == tuple(InputDistribution(d.a & w, d.b, d.c) for _, d in once)
+        removing = [s for s in res.steps if s.applied and s.removed]
+        assert res.inputs == (removing[-1].inputs if removing else tuple(inputs))
 
 
 def test_dsep_guard_primitive_on_cut_fixture_graphs():

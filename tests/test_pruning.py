@@ -218,3 +218,80 @@ def test_effect_preserved_on_showcase():
                         slice(None) if n in fx.PRUNE_QUERY.x else idx[n] for n in axes
                     )
                     assert np.allclose(extra[(slice(None),) + sel], base, atol=1e-9)
+
+
+def _showcase_after_non_ancestors(extra):
+    first = prune_non_ancestors(fx.PRUNE_GRAPH, fx.PRUNE_INPUTS, fx.PRUNE_QUERY)
+    return prune_post_intervention(first.graph, first.inputs + extra, first.query)
+
+
+# the layout of test_post_intervention_refuses_without_covering_latent
+UNCOVERED = (
+    "X1 -> W1\nX2 -> W1\nW1 -> Y\nW2 -> Y\nW2 -> X1\nW2 -> W1\nZ3 -> X1\n"
+    "Z2 -> Z3\nZ2 -> Z1\nZ1 -> X1\nZ1 -> X2\nX1 <-> Y\nX1 <-> W1"
+)
+
+
+@pytest.mark.parametrize(
+    "theorem, run, refusal, checked",
+    [
+        (
+            "non_ancestors",
+            lambda: prune_non_ancestors(
+                fx.COLLIDER_Z_GRAPH,
+                (parse_distribution("p(Z)"), parse_distribution("p(X,Y|Z)")),
+                parse_query("p(Y|do(X))"),
+            ),
+            "input 1 (p(X,Y | Z)) intervenes or conditions on non-ancestor Z",
+            [
+                ("inputs_within_ancestors", True, "input 0"),
+                ("inputs_within_ancestors", False, "input 1 uses ['Z']"),
+            ],
+        ),
+        (
+            "post_intervention",
+            lambda: prune_post_intervention(
+                parse_graph("X1 -> Z\nZ -> X2\nX2 -> Y"), (), parse_query("p(Y|do(X1,X2))")
+            ),
+            "candidate Z descends from the intervention",
+            [("a_no_descendants_of_x", False, "['Z']")],
+        ),
+        (
+            "post_intervention",
+            lambda: _showcase_after_non_ancestors((parse_distribution("p(W2 | Z1)"),)),
+            "input 3 (p(W2 | Z1)) intervenes or conditions on Z1",
+            [("a_no_descendants_of_x", True, "")]
+            + [("b_inputs_outside_pruned", True, f"input {i}") for i in range(3)]
+            + [("b_inputs_outside_pruned", False, "input 3 uses ['Z1']")],
+        ),
+        (
+            "post_intervention",
+            lambda: _showcase_after_non_ancestors((parse_distribution("p(W2 | do(Z1))"),)),
+            "input 3 (p(W2 | do(Z1))) intervenes or conditions on Z1",
+            [("a_no_descendants_of_x", True, "")]
+            + [("b_inputs_outside_pruned", True, f"input {i}") for i in range(3)]
+            + [("b_inputs_outside_pruned", False, "input 3 uses ['Z1']")],
+        ),
+        (
+            "post_intervention",
+            lambda: prune_post_intervention(parse_graph(UNCOVERED), (), fx.PRUNE_QUERY),
+            "no latent covers ['X1', 'X2'] reached from error term of Z1",
+            [
+                ("a_no_descendants_of_x", True, ""),
+                (
+                    "c_confounder_cover", False,
+                    "no latent covers ['X1', 'X2'] reached from error term of Z1",
+                ),
+            ],
+        ),
+    ],
+    ids=["non_ancestor", "post_a", "post_b", "post_b_do", "post_c"],
+)
+def test_refusal_pinned(theorem, run, refusal, checked):
+    assert run().to_json() == {
+        "theorem": theorem,
+        "applied": False,
+        "removed": [],
+        "refusal": refusal,
+        "checked": [{"condition": c, "holds": h, "witness": w} for c, h, w in checked],
+    }
