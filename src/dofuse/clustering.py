@@ -156,7 +156,8 @@ def apply_cluster(g: CausalGraph, t_members, t_name: str) -> CausalGraph:
     """Replace a verified cluster by a single observed vertex.
 
     The new vertex inherits the external parents and children of the cluster.
-    Latents left with fewer than two children are dropped.
+    Latents in the cluster are dropped; one outside keeps its children, members
+    merged into the new vertex, even when that leaves it a single child.
     """
     t, rec, em = _require_cluster(g, t_members)
     if g.has_vertex(t_name):

@@ -12,6 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
+from .clustering import _require_cluster
 from .graph import CausalGraph, GraphError
 
 
@@ -203,8 +204,6 @@ def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInp
     split the cluster across slots, or see only part of the emitter set, are
     incompatible. A latent emitter rules out clustering the inputs entirely.
     """
-    from .clustering import _require_cluster
-
     t = frozenset(t_members)
     emitters = g.names_of(_require_cluster(g, t)[2])
     if emitters & g.latents:

@@ -7,9 +7,10 @@ term reuse the child expression unchanged. Bound variables are introduced
 by ``SumOver`` nodes; the same vertex name may be rebound in disjoint
 scopes, and rendering disambiguates shadowed names with primes. Trees built
 from derivation backtracking share subterms, so traversals memoize by node
-identity. ``transform`` is the one memoized bottom-up mapper over these
-trees; ``canonicalize`` and the lifts through clustering and pruning are
-callbacks on it.
+identity. ``transform`` is the one memoized bottom-up walker over these
+trees; every bottom-up computation, the lifts and numeric evaluation in
+``scm`` included, is a callback on it. Only ``render``, whose primes depend
+on the enclosing scope, and ``from_json`` walk on their own.
 """
 
 from __future__ import annotations
@@ -72,23 +73,18 @@ def _children(node):
 
 
 def free_variables(node, _memo=None) -> frozenset:
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(id(node))
-    if got is not None:
-        return got
+    """Free variables; ``_memo`` lets callers share one memo across subtrees."""
+    return transform(node, _free, _memo)
+
+
+def _free(node, kids):
     if isinstance(node, InputRef):
-        out = node.variables
-    elif isinstance(node, (SumOver, Pinned)):
-        out = free_variables(node.child, _memo) - frozenset(node.vars)
-    elif isinstance(node, (Product, Quotient)):
-        out = frozenset()
-        for f in _children(node):
-            out |= free_variables(f, _memo)
-    else:
-        raise TypeError(f"not a functional node: {node!r}")
-    _memo[id(node)] = out
-    return out
+        return node.variables
+    if isinstance(node, (SumOver, Pinned)):
+        return kids[0] - frozenset(node.vars)
+    if isinstance(node, (Product, Quotient)):
+        return frozenset().union(*kids)
+    raise TypeError(f"not a functional node: {node!r}")
 
 
 def with_children(node, kids):
@@ -104,31 +100,30 @@ def with_children(node, kids):
     raise TypeError(f"not a functional node: {node!r}")
 
 
-def transform(node, fn):
+def transform(node, fn, memo=None):
     """Bottom-up map: ``fn(node, kids)`` gets node and its children already mapped.
 
     Memoized by node identity, so a subterm shared across the tree is mapped
-    once and its image is shared the same way.
+    once and its image is shared the same way; calls with one ``fn`` may
+    share a ``memo``.
     """
-    memo: dict = {}
-
-    def walk(n):
-        got = memo.get(id(n))
-        if got is None:
-            got = memo[id(n)] = fn(n, tuple(walk(c) for c in _children(n)))
-        return got
-
-    return walk(node)
+    return _walk(node, fn, {} if memo is None else memo)
 
 
-def node_count(node, _seen=None) -> int:
+def _walk(node, fn, memo):
+    # a module-level function, not a closure over itself: such a cycle would
+    # keep the memo, and with it every image, alive until the cyclic collector runs
+    got = memo.get(id(node))
+    if got is None:
+        got = memo[id(node)] = fn(node, tuple(_walk(c, fn, memo) for c in _children(node)))
+    return got
+
+
+def node_count(node) -> int:
     """Distinct nodes in the expression DAG."""
-    if _seen is None:
-        _seen = set()
-    if id(node) in _seen:
-        return 0
-    _seen.add(id(node))
-    return 1 + sum(node_count(c, _seen) for c in _children(node))
+    memo: dict = {}
+    transform(node, lambda n, kids: True, memo)
+    return len(memo)
 
 
 def canonicalize(node):
@@ -204,6 +199,11 @@ def render(node, _names=None, _used=None) -> str:
 
 
 def to_json(node) -> dict:
+    """JSON-ready form; a shared subterm maps to one shared dict."""
+    return transform(node, _json)
+
+
+def _json(node, kids):
     if isinstance(node, InputRef):
         return {
             "kind": "input",
@@ -213,13 +213,13 @@ def to_json(node) -> dict:
             "c": sorted(node.c),
         }
     if isinstance(node, SumOver):
-        return {"kind": "sum", "vars": sorted(node.vars), "child": to_json(node.child)}
+        return {"kind": "sum", "vars": sorted(node.vars), "child": kids[0]}
     if isinstance(node, Product):
-        return {"kind": "product", "factors": [to_json(f) for f in node.factors]}
+        return {"kind": "product", "factors": list(kids)}
     if isinstance(node, Quotient):
-        return {"kind": "quotient", "num": to_json(node.num), "den": to_json(node.den)}
+        return {"kind": "quotient", "num": kids[0], "den": kids[1]}
     if isinstance(node, Pinned):
-        return {"kind": "pinned", "vars": sorted(node.vars), "child": to_json(node.child)}
+        return {"kind": "pinned", "vars": sorted(node.vars), "child": kids[0]}
     raise TypeError(f"not a functional node: {node!r}")
 
 

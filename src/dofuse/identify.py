@@ -125,17 +125,13 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
     store: dict = {}
     by_bc: dict = {}
     by_bac: dict = {}
-    buckets: list = [[]]
 
-    def add(key, depth, deriv) -> bool:
+    def add(key, deriv) -> bool:
         if key in store:
             return False
-        store[key] = (depth, deriv)
+        store[key] = deriv
         by_bc.setdefault((key[1], key[2]), []).append(key)
         by_bac.setdefault((key[1], key[0] | key[2]), []).append(key)
-        while len(buckets) <= depth:
-            buckets.append([])
-        buckets[depth].append(key)
         return True
 
     def finish(depth):
@@ -144,17 +140,18 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
         return IdentifyResult(IDENTIFIED, f, len(store), depth)
 
     for i, dist in enumerate(inputs):
-        add((mask(dist.a), mask(dist.b), mask(dist.c)), 0, ("input", i))
+        add((mask(dist.a), mask(dist.b), mask(dist.c)), ("input", i))
 
     if goal in store:
         return finish(0)
 
     obs = g.observed_mask
     depth = 0
-    while depth < len(buckets):
+    layer = list(store)
+    while True:
         if depth >= budget.max_depth:
             return IdentifyResult(BUDGET_EXCEEDED, None, len(store), depth)
-        frontier = sorted(buckets[depth])
+        frontier, layer = sorted(layer), []
         for key in frontier:
             a, b, c = key
             nd = depth + 1
@@ -216,13 +213,15 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                     emit((t, ("prod", t1, key)))
 
             for new_key, deriv in derived:
-                if add(new_key, nd, deriv):
+                if add(new_key, deriv):
+                    layer.append(new_key)
                     if new_key == goal:
                         return finish(nd)
                     if len(store) > budget.max_terms:
                         return IdentifyResult(BUDGET_EXCEEDED, None, len(store), nd)
+        if not layer:
+            return IdentifyResult(EXHAUSTED, None, len(store), depth)
         depth += 1
-    return IdentifyResult(EXHAUSTED, None, len(store), depth - 1)
 
 
 def _build(key, store, inputs, g: CausalGraph, memo=None):
@@ -231,7 +230,7 @@ def _build(key, store, inputs, g: CausalGraph, memo=None):
     got = memo.get(key)
     if got is not None:
         return got
-    deriv = store[key][1]
+    deriv = store[key]
     kind = deriv[0]
     if kind == "input":
         dist = inputs[deriv[1]]

@@ -6,15 +6,21 @@ computes interventional distributions exactly by multiplying all CPT factors
 except those of the intervened vertices over the full configuration grid and
 marginalizing, which is the ground truth every symbolic result in the
 package is validated against.
+
+A functional is evaluated by one ``transform`` fold that maps each node to
+its sorted free variables and an array with one axis per variable: input
+references read ``input_table``, sums and pins reduce axes, products and
+quotients broadcast over the union of their operands' variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .functional import InputRef, Pinned, Product, Quotient, SumOver, free_variables
+from .functional import InputRef, Pinned, Product, Quotient, SumOver, free_variables, transform
 from .graph import CausalGraph, _iter_bits
 from .distributions import Query
 
@@ -153,77 +159,66 @@ def input_table(scm: DiscreteSCM, a, b, c) -> np.ndarray:
     return out
 
 
-def _eval(node, scm: DiscreteSCM, env: dict, fv_memo: dict, val_memo: dict) -> float:
-    fv = free_variables(node, fv_memo)
-    key = (id(node), tuple(sorted((v, env[v]) for v in fv)))
-    got = val_memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(node, InputRef):
-        table = input_table(scm, node.a, node.b, node.c)
-        ix = tuple(env[v] for v in sorted(node.a) + sorted(node.b) + sorted(node.c))
-        out = float(table[ix])
-    elif isinstance(node, SumOver):
-        out = 0.0
-        sub = dict(env)
-        domains = [range(scm.card(v)) for v in node.vars]
-        idx = [0] * len(node.vars)
-        while True:
-            for v, val in zip(node.vars, idx):
-                sub[v] = val
-            out += _eval(node.child, scm, sub, fv_memo, val_memo)
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(domains[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                break
-    elif isinstance(node, Product):
-        out = 1.0
-        for f in node.factors:
-            out *= _eval(f, scm, env, fv_memo, val_memo)
-    elif isinstance(node, Quotient):
-        den = _eval(node.den, scm, env, fv_memo, val_memo)
-        if den == 0:
-            raise EvaluationError(
-                f"division by zero at assignment {sorted(env.items())}"
-            )
-        out = _eval(node.num, scm, env, fv_memo, val_memo) / den
-    elif isinstance(node, Pinned):
-        sub = dict(env)
-        for v in node.vars:
-            sub[v] = 0
-        out = _eval(node.child, scm, sub, fv_memo, val_memo)
-    else:
+def _fold(scm: DiscreteSCM):
+    """``transform`` callback: node -> (sorted free variables, array, one axis each).
+
+    A zero denominator gives NaN, which reaches exactly the entries that read it.
+    """
+
+    def align(parts):
+        names = sorted(frozenset().union(*(v for v, _ in parts)))
+        return names, [arr.reshape([scm.card(n) if n in v else 1 for n in names]) for v, arr in parts]
+
+    def fold(node, kids):
+        if isinstance(node, InputRef):
+            names = sorted(node.a) + sorted(node.b) + sorted(node.c)
+            order = sorted(range(len(names)), key=names.__getitem__)
+            table = input_table(scm, node.a, node.b, node.c)
+            return sorted(names), table.transpose(order)
+        if isinstance(node, (SumOver, Pinned)):
+            names, arr = kids[0]
+            rest = [n for n in names if n not in node.vars]
+            if isinstance(node, Pinned):
+                return rest, arr[tuple(0 if n in node.vars else slice(None) for n in names)]
+            axes = tuple(i for i, n in enumerate(names) if n in node.vars)
+            unused = [scm.card(v) for v in node.vars if v not in names]
+            return rest, arr.sum(axis=axes) * float(np.prod(unused))
+        if isinstance(node, Product):
+            names, arrs = align(kids)
+            return names, reduce(np.multiply, arrs, 1.0)
+        if isinstance(node, Quotient):
+            names, (num, den) = align(kids)
+            out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
+            return names, np.divide(num, den, out=out, where=den != 0)
         raise TypeError(f"not a functional node: {node!r}")
-    val_memo[key] = out
-    return out
+
+    return fold
 
 
-def evaluate_functional(f, scm: DiscreteSCM, query: Query, check_free=True) -> np.ndarray:
+def evaluate_functional(f, scm: DiscreteSCM, query: Query) -> np.ndarray:
     """Evaluate a functional to a table with axes (sorted y..., sorted x...)."""
     fv = free_variables(f)
-    if check_free and not fv <= query.y | query.x:
+    if not fv <= query.y | query.x:
         raise EvaluationError(
             f"functional has free variables {sorted(fv - (query.y | query.x))} "
             "outside the query"
         )
-    y = sorted(query.y)
-    x = sorted(query.x)
-    shape = tuple(scm.card(v) for v in y + x)
-    out = np.zeros(shape)
-    fv_memo: dict = {}
-    val_memo: dict = {}
-    for flat in range(int(np.prod(shape)) if shape else 1):
-        ix = np.unravel_index(flat, shape) if shape else ()
-        env = {v: int(val) for v, val in zip(y + x, ix)}
-        out[ix] = _eval(f, scm, env, fv_memo, val_memo)
+    names, arr = transform(f, _fold(scm))
+    target = sorted(query.y) + sorted(query.x)
+    # query variables the functional does not use get broadcast axes
+    arr = np.expand_dims(arr, tuple(range(len(names), len(target))))
+    arr = np.moveaxis(arr, range(len(names)), [target.index(n) for n in names])
+    out = np.broadcast_to(arr, [scm.card(v) for v in target]).copy()
+    bad = np.argwhere(np.isnan(out))
+    if len(bad):
+        raise EvaluationError(f"division by zero at assignment {sorted(zip(target, bad[0].tolist()))}")
     return out
 
 
 def evaluate_at(f, scm: DiscreteSCM, bindings: dict) -> float:
     """Evaluate at one assignment of the free variables."""
-    return _eval(f, scm, dict(bindings), {}, {})
+    names, arr = transform(f, _fold(scm))
+    value = float(arr[tuple(bindings[n] for n in names)])
+    if np.isnan(value):
+        raise EvaluationError(f"division by zero at assignment {sorted(bindings.items())}")
+    return value

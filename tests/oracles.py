@@ -3,15 +3,21 @@
 Everything here deliberately avoids the package's own algorithms: the
 d-separation oracle enumerates simple paths and applies the blocking
 definition literally, reachability is a plain BFS, the transit-cluster
-oracle checks the five conditions on name sets, and the pruned-model
-construction marginalizes dropped parents directly on the joint table.
+oracle checks the five conditions on name sets, the pruned-model
+construction marginalizes dropped parents directly on the joint table, and
+the scalar evaluator computes one entry of a functional by recursion over
+assignments, reading only the package's input tables.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import numpy as np
 
-from dofuse import CausalGraph, DiscreteSCM
+from dofuse import CausalGraph, DiscreteSCM, input_table
+from dofuse.functional import InputRef, Pinned, Product, SumOver
 from dofuse.scm import _expand, _truncated
 
 
@@ -208,3 +214,33 @@ def induce_pruned_scm(scm: DiscreteSCM, g2: CausalGraph, fresh: set, rng) -> Dis
         perm.append(kept_sorted.index(i1))
         cpts.append(np.transpose(merged, perm))
     return DiscreteSCM(g2, cards, tuple(cpts))
+
+
+def evaluate_scalar(f, scm: DiscreteSCM, env: dict, _memo=None) -> float:
+    """One entry of a functional, visiting each assignment it reads.
+
+    Sums enumerate their domains, pins read index 0, and a zero denominator
+    raises ``ZeroDivisionError``. The memo is keyed by node and the whole
+    assignment, bound variables included.
+    """
+    memo = {} if _memo is None else _memo
+    key = (id(f), tuple(sorted(env.items())))
+    if key in memo:
+        return memo[key]
+    if isinstance(f, InputRef):
+        table = input_table(scm, f.a, f.b, f.c)
+        out = float(table[tuple(env[v] for v in sorted(f.a) + sorted(f.b) + sorted(f.c))])
+    elif isinstance(f, SumOver):
+        domains = product(*(range(scm.card(v)) for v in f.vars))
+        out = sum(evaluate_scalar(f.child, scm, {**env, **dict(zip(f.vars, vals))}, memo) for vals in domains)
+    elif isinstance(f, Pinned):
+        out = evaluate_scalar(f.child, scm, {**env, **dict.fromkeys(f.vars, 0)}, memo)
+    elif isinstance(f, Product):
+        out = math.prod(evaluate_scalar(x, scm, env, memo) for x in f.factors)
+    else:
+        den = evaluate_scalar(f.den, scm, env, memo)
+        if den == 0:
+            raise ZeroDivisionError(f"zero denominator at {sorted(env.items())}")
+        out = evaluate_scalar(f.num, scm, env, memo) / den
+    memo[key] = out
+    return out

@@ -11,11 +11,15 @@ from dofuse import (
     parse_graph,
     parse_query,
     random_scm,
+    run_pipeline,
 )
-from dofuse.functional import InputRef, Pinned, Quotient
+from dofuse.functional import InputRef, Pinned, Product, Quotient, SumOver
+from dofuse.graph import _iter_bits
 from dofuse.scm import evaluate_at
+from dofuse.simulate import SIM_BUDGET, generate_instance
 
 import fixtures as fx
+import oracles
 
 
 def test_chain_effect_equals_conditional():
@@ -68,6 +72,95 @@ def test_quotient_division_by_zero_reported():
     f = Quotient(InputRef(0, ("X",)), InputRef(0, ("X",)))
     with pytest.raises(EvaluationError, match="division by zero"):
         evaluate_at(f, scm, {"X": 1})
+
+
+def _degenerate_x():
+    """X -> Y with X always 0, so p(X) is zero at X=1."""
+    g = parse_graph("X -> Y")
+    cpt_y = np.array([[0.3, 0.7], [0.5, 0.5]])
+    return DiscreteSCM(g, (2, 2), (np.array([1.0, 0.0]), cpt_y))
+
+
+# expected values are those of the scalar per-assignment evaluation (oracles.evaluate_scalar)
+P_X = InputRef(0, ("X",))
+P_Y = InputRef(0, ("Y",))
+X_OVER_X_TIMES_Y = Product((Quotient(P_X, P_X), P_Y))
+
+
+def test_pinned_never_reads_zero_denominator():
+    got = evaluate_functional(Pinned(("X",), X_OVER_X_TIMES_Y), _degenerate_x(), Query({"Y"}))
+    assert np.allclose(got, [0.3, 0.7], atol=1e-15)
+
+
+def test_sum_reads_zero_denominator():
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate_functional(SumOver(("X",), X_OVER_X_TIMES_Y), _degenerate_x(), Query({"Y"}))
+
+
+def test_sum_over_unused_variable_scales_by_card():
+    got = evaluate_functional(SumOver(("X",), P_Y), _degenerate_x(), Query({"Y"}))
+    assert np.allclose(got, [0.6, 1.4], atol=1e-15)
+
+
+def test_bound_and_free_uses_of_one_name():
+    f = Product((SumOver(("X",), P_X), P_X))
+    got = evaluate_functional(f, _degenerate_x(), Query({"X"}))
+    assert np.allclose(got, [1.0, 0.0], atol=1e-15)
+
+
+def test_evaluate_at_raises_only_where_denominator_is_zero():
+    scm = _degenerate_x()
+    assert evaluate_at(Quotient(P_X, P_X), scm, {"X": 0}) == 1.0
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate_at(Quotient(P_X, P_X), scm, {"X": 1})
+
+
+def _sparse_scm(g, rng, card):
+    """Random CPTs with about a third of the entries zero: positivity fails often."""
+    cpts = []
+    for i in range(len(g.names)):
+        shape = (card,) * (len(list(_iter_bits(g.parent_masks[i]))) + 1)
+        raw = rng.uniform(size=shape) * (rng.uniform(size=shape) > 0.35)
+        raw[..., 0] += raw.sum(axis=-1) == 0
+        cpts.append(raw / raw.sum(axis=-1, keepdims=True))
+    return DiscreteSCM(g, (card,) * len(g.names), tuple(cpts))
+
+
+def _reference_table(f, scm, query):
+    """The scalar reference over the query grid, or None when any entry fails."""
+    target = sorted(query.y) + sorted(query.x)
+    shape = [scm.card(v) for v in target]
+    out = np.zeros(shape)
+    memo: dict = {}
+    try:
+        for ix in np.ndindex(*shape):
+            out[ix] = oracles.evaluate_scalar(f, scm, dict(zip(target, ix)), memo)
+    except (ZeroDivisionError, EvaluationError):
+        return None
+    return out
+
+
+def test_evaluate_matches_scalar_reference_on_pipeline_functionals():
+    rng = np.random.default_rng(11)
+    checked = failed = 0
+    for seed in range(60):
+        inst = generate_instance(seed)
+        f = run_pipeline(inst.graph, inst.inputs, inst.query, SIM_BUDGET).functional
+        if f is None:
+            continue
+        # card 3 only on the first seeds: the reference is slow there
+        for card in (2, 3) if seed < 20 else (2,):
+            for scm in (random_scm(inst.graph, rng, card), _sparse_scm(inst.graph, rng, card)):
+                want = _reference_table(f, scm, inst.query)
+                if want is None:
+                    failed += 1
+                    with pytest.raises(EvaluationError):
+                        evaluate_functional(f, scm, inst.query)
+                else:
+                    checked += 1
+                    got = evaluate_functional(f, scm, inst.query)
+                    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert checked > 20 and failed > 5, (checked, failed)
 
 
 def test_evaluate_constant_marginal():
