@@ -8,8 +8,9 @@ of vertex ids; internally everything runs on integer bitmasks.
 
 Every d-separation and closure query in the package runs on two walks
 here, over per-vertex parent and child masks: ``_closure`` (ancestor,
-descendant and component sets) and ``reach`` (active-path reachability,
-the d-separation kernel). ``cut_masks`` derives
+descendant and component sets) and ``reach`` (the one ball-passing loop,
+the d-separation kernel, which returns the vertices reached from a child
+and from a parent as two sets). ``cut_masks`` derives
 the masks of an edge-cut graph without building one, so pruning, the
 invariance checks and the derivation search all call ``reach`` on cut masks
 directly. ``edge_cut`` builds the cut as a ``CausalGraph`` and is kept only
@@ -211,8 +212,10 @@ class CausalGraph:
 def _union(step_masks, mask: int) -> int:
     """Union of ``step_masks`` over the members of mask (one step, no closure)."""
     out = 0
-    for v in _iter_bits(mask):
-        out |= step_masks[v]
+    while mask:
+        low = mask & -mask
+        out |= step_masks[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -220,12 +223,7 @@ def _closure(step_masks, mask: int) -> int:
     """Reflexive closure of mask under ``step_masks`` (parents: ancestors)."""
     out = frontier = mask
     while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= step_masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~out
+        frontier = _union(step_masks, frontier) & ~out
         out |= frontier
     return out
 
@@ -239,60 +237,52 @@ def cut_masks(par, ch, cin: int, cout: int):
     )
 
 
-def reach(par, ch, src: int, cond: int, stop: int = 0) -> int:
-    """Vertices joined to ``src`` by a path that ``cond`` leaves active.
+def reach(par, ch, src: int, cond: int, stop: int = 0):
+    """Ball passing from ``src`` given ``cond``: ``(up, down)``, the vertices reached.
 
-    Ball passing: a vertex is pending "up" when the ball may continue to its
-    parents and children, and "down" when it arrived from a parent (so it
-    may continue down, or bounce up to its parents if it is conditioned).
-    A collider with a conditioned descendant is opened by the ball running
-    down to that descendant and bouncing back up, so no ancestor closure of
-    ``cond`` is needed and the visited set is the same as with one.
-    With ``stop`` set the walk returns as soon as it meets a stop vertex, so
-    the result meets ``stop`` exactly when some stop vertex is reachable;
-    with ``stop=0`` it is the full reachable set, ``src`` included.
+    ``up`` holds ``src`` and the vertices the ball entered from a child,
+    ``down`` those it entered from a parent (Shachter's Bayes-ball). A
+    vertex outside ``cond`` passes the ball on to its parents (when it came
+    up) and its children; a conditioned vertex stops a ball that came up
+    and bounces one that came down back up to its parents. So a collider
+    with a conditioned descendant is opened by the ball running down to
+    that descendant and bouncing back, without an ancestor closure of
+    ``cond``. ``up | down`` is the set of vertices joined to ``src`` by a
+    path that ``cond`` leaves active, ``src`` included; a conditioned vertex
+    is in it when such a path ends there. The walk passes the ball from all
+    pending vertices at once, one step of the path length per round.
+    With ``stop`` set it returns after the first round that meets a stop
+    vertex, so ``up | down`` meets ``stop`` exactly when some stop vertex is
+    reachable.
     """
-    if src & stop:
-        return src
-    vis_up = pend_up = src
-    vis_down = pend_down = 0
+    up = src
+    down = pend_down = 0
+    pend_up = src & ~cond
     while pend_up or pend_down:
-        if pend_up:
+        new_up = new_down = 0
+        while pend_up:
             low = pend_up & -pend_up
+            v = low.bit_length() - 1
+            new_up |= par[v]
+            new_down |= ch[v]
             pend_up ^= low
-            v = low.bit_length() - 1
-            if not low & cond:
-                new = par[v] & ~vis_up
-                if new:
-                    if new & stop:
-                        return new
-                    vis_up |= new
-                    pend_up |= new
-                new = ch[v] & ~vis_down
-                if new:
-                    if new & stop:
-                        return new
-                    vis_down |= new
-                    pend_down |= new
-        else:
+        while pend_down:
             low = pend_down & -pend_down
-            pend_down ^= low
             v = low.bit_length() - 1
-            if not low & cond:
-                new = ch[v] & ~vis_down
-                if new:
-                    if new & stop:
-                        return new
-                    vis_down |= new
-                    pend_down |= new
+            if low & cond:
+                new_up |= par[v]
             else:
-                new = par[v] & ~vis_up
-                if new:
-                    if new & stop:
-                        return new
-                    vis_up |= new
-                    pend_up |= new
-    return vis_up | vis_down
+                new_down |= ch[v]
+            pend_down ^= low
+        new_up &= ~up
+        new_down &= ~down
+        up |= new_up
+        down |= new_down
+        if (new_up | new_down) & stop:
+            break
+        pend_up = new_up & ~cond
+        pend_down = new_down
+    return up, down
 
 
 def dsep_masks(par, ch, x: int, y: int, z: int) -> bool:
@@ -303,7 +293,8 @@ def dsep_masks(par, ch, x: int, y: int, z: int) -> bool:
         return True
     if bin(x).count("1") > bin(y).count("1"):
         x, y = y, x
-    return not reach(par, ch, x, z, y) & y
+    up, down = reach(par, ch, x, z, y)
+    return not (up | down) & y
 
 
 # -- parsing and the public graph operations -----------------------------------

@@ -4,7 +4,8 @@ Starting from the input distributions, the search derives new terms
 p(A | do(B), C) by single-variable marginalization and conditioning, chain
 composition of two compatible terms, and the three do-calculus rules guarded
 by d-separation in the appropriate edge-cut graphs. Rule moves try the
-maximal applicable variable set first, then singletons. Terms are
+maximal applicable variable set first, then singletons, and one walk per
+expanded term decides their guards. Terms are
 deduplicated on a canonical key (sorted variable sets), expanded breadth
 first by derivation depth with lexicographic tie-breaking, so identical
 problems always yield identical functionals and enlarging the budget never
@@ -34,7 +35,7 @@ from .functional import (
     transform,
     with_children,
 )
-from .graph import CausalGraph, GraphError, _closure, _iter_bits, cut_masks, reach
+from .graph import CausalGraph, GraphError, _closure, _iter_bits, _union, cut_masks, reach
 
 IDENTIFIED = "identified"
 EXHAUSTED = "exhausted_not_identified"
@@ -64,11 +65,12 @@ class IdentifyResult:
 
 
 class _Engine:
-    """Per-search memo of cut masks and cut ancestor sets.
+    """Per-search memo of cut masks and cut ancestor sets, and the rule guards.
 
-    d-separation verdicts are not memoized: the search tests a rule guard
-    only for a target it has not stored, so a verdict is rarely asked for
-    twice and a memo costs more than it saves.
+    ``guards`` decides every singleton guard of a key from one walk (see
+    ``identify``); ``dsep`` is the one remaining per-candidate test, for
+    deleting the whole of b by rule 3. Walks are not memoized: each key is
+    expanded once.
     """
 
     __slots__ = ("base_par", "base_ch", "_cuts", "_an")
@@ -94,27 +96,65 @@ class _Engine:
             got = self._an[key] = _closure(self.cut(cin, 0)[0], m)
         return got
 
+    def guards(self, a: int, b: int, c: int, free: int):
+        """Members of each rule's pool that pass its guard at key (a, b, c), from one walk.
+
+        Returns the passing members of c (rule 1 deletion), free (rule 1
+        insertion), b (rule 2 b -> c), c (rule 2 c -> b), b (rule 3
+        deletion) and free (rule 3 insertion); see ``identify``.
+        """
+        bc = b | c
+        up, down = reach(*self.cut(b, 0), a, bc)
+        seen = up | down
+        an = self.ancestors(b, c)
+        hit = _union(self.base_ch, seen & ~bc) if b else 0
+        return (
+            c & ~seen,
+            free & ~seen,
+            b & ~hit,
+            c & ~down,
+            b & ~(seen | (an & hit)),
+            free & ~up,
+        )
+
     def dsep(self, cin: int, cout: int, x: int, y: int, z: int) -> bool:
-        if not x or not y:
-            return True
-        if x > y:
-            x, y = y, x
-        par, ch = self.cut(cin, cout)
-        return not reach(par, ch, x, z, y) & y
+        """Whether z d-separates x from y in the cut graph; the walk stops at y."""
+        up, down = reach(*self.cut(cin, cout), x, z, y)
+        return not (up | down) & y
 
 
 @lru_cache(maxsize=1 << 14)
-def _cands(m: int):
-    """Maximal set first, then singletons; empty and singleton pools shrink."""
-    if not m:
-        return ()
-    if not m & (m - 1):
-        return (m,)
-    return (m,) + tuple(1 << v for v in _iter_bits(m))
+def _passing(ok: int, whole: bool):
+    """Candidates in search order: ok itself when it is the whole pool, then each member of ok."""
+    bits = tuple(1 << v for v in _iter_bits(ok))
+    return (ok,) + bits if whole and len(bits) > 1 else bits
 
 
 def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None = None) -> IdentifyResult:
-    """Decide the query from the inputs in g, returning a functional when found."""
+    """Decide the query from the inputs in g, returning a functional when found.
+
+    Each frontier key (a, b, c) is expanded with one ball-passing walk
+    (``graph.reach``) from a in G_b-bar (edges into b cut) given b | c. It
+    returns ``up`` (a and the vertices entered from a child) and ``down``
+    (those entered from a parent); ``seen = up | down``, ``an`` is the
+    reflexive ancestors of c in G_b-bar and ``hit`` the children in G of
+    ``seen - (b | c)``. A single vertex v passes a rule's guard iff:
+
+    ========================  ==========================================
+    rule 1 deletion, v in c   v not in seen
+    rule 1 insertion, v free  v not in seen
+    rule 2 b -> c, v in b     v not in hit
+    rule 2 c -> b, v in c     v not in down
+    rule 3 deletion, v in b   v not in seen, nor in hit when v is in an
+    rule 3 insertion, v free  v not in up
+    ========================  ==========================================
+
+    By the intersection and composition properties of d-separation a whole
+    pool of two or more vertices passes iff each member does, for every move
+    but rule 3 deletion, where that is only necessary: deleting all of b is
+    then tested on its own cut graph by a walk that stops at b. Passing
+    candidates are tried whole pool first, then singletons by bit.
+    """
     budget = budget or SearchBudget()
     inputs = tuple(inputs)
     validate_inputs(g, inputs, query)
@@ -158,8 +198,8 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
             derived = []
             emit = derived.append
 
-            # a move is built, and a rule move tested, only when its target
-            # is not stored yet: add would drop a stored target anyway
+            # a move is built only when its target is not stored yet: add
+            # would drop a stored target anyway
             if a & (a - 1):
                 for v in _iter_bits(a):
                     vb = 1 << v
@@ -171,37 +211,37 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                         emit((t, ("cond", vb, key)))
 
             free = obs & ~(a | b | c)
+            r1del, r1ins, r2bc, r2cb, r3del, r3ins = eng.guards(a, b, c, free)
             # rule 1: delete then insert observations
-            for z in _cands(c):
+            for z in _passing(r1del, r1del == c):
                 t = (a, b, c & ~z)
-                if t not in store and eng.dsep(b, 0, a, z, b | (c & ~z)):
+                if t not in store:
                     emit((t, ("pin", z, key)))
-            for z in _cands(free):
+            for z in _passing(r1ins, r1ins == free):
                 t = (a, b, c | z)
-                if t not in store and eng.dsep(b, 0, a, z, b | c):
+                if t not in store:
                     emit((t, ("rule", key)))
             # rule 2: exchange actions and observations, both directions
-            for z in _cands(b):
+            for z in _passing(r2bc, r2bc == b):
                 t = (a, b & ~z, c | z)
-                if t not in store and eng.dsep(b & ~z, z, a, z, (b & ~z) | c):
-                    emit((t, ("rule", key)))
-            for z in _cands(c):
-                t = (a, b | z, c & ~z)
-                if t not in store and eng.dsep(b, z, a, z, b | (c & ~z)):
-                    emit((t, ("rule", key)))
-            # rule 3: delete then insert actions
-            for z in _cands(b):
-                t = (a, b & ~z, c)
                 if t not in store:
-                    zc = z & ~eng.ancestors(b & ~z, c)
-                    if eng.dsep((b & ~z) | zc, 0, a, z, (b & ~z) | c):
-                        emit((t, ("pin", z, key)))
-            for z in _cands(free):
+                    emit((t, ("rule", key)))
+            for z in _passing(r2cb, r2cb == c):
+                t = (a, b | z, c & ~z)
+                if t not in store:
+                    emit((t, ("rule", key)))
+            # rule 3: delete then insert actions; passing singletons are only
+            # necessary for deleting the whole of b, which gets its own walk
+            for z in _passing(r3del, r3del == b):
+                t = (a, b & ~z, c)
+                if t not in store and (
+                    not z & (z - 1) or eng.dsep(b & ~eng.ancestors(0, c), 0, a, b, c)
+                ):
+                    emit((t, ("pin", z, key)))
+            for z in _passing(r3ins, r3ins == free):
                 t = (a, b | z, c)
                 if t not in store:
-                    zc = z & ~eng.ancestors(b, c)
-                    if eng.dsep(b | zc, 0, a, z, b | c):
-                        emit((t, ("rule", key)))
+                    emit((t, ("rule", key)))
             # chain composition with every stored partner
             for t2 in sorted(by_bac.get((b, c), ())):
                 t = (a | t2[0], b, t2[2])

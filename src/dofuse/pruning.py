@@ -142,7 +142,8 @@ def prune_post_intervention(g: CausalGraph, inputs, query: Query) -> PruneStep:
     _require_ancestral(g, query)
     x = g.mask_of(query.x)
     par, ch = cut_masks(g.parent_masks, g.child_masks, x, 0)
-    z_mask = g.observed_mask & ~reach(par, ch, g.mask_of(query.y), x) & ~x
+    up, down = reach(par, ch, g.mask_of(query.y), x)
+    z_mask = g.observed_mask & ~(up | down) & ~x
     if not z_mask:
         return _noop(POST_INTERVENTION, g, inputs, query)
 

@@ -2,10 +2,10 @@
 
 Every vertex of the graph, latent confounders included, gets a finite
 domain and a conditional probability table over its parents. The oracle
-computes interventional distributions exactly by multiplying all CPT factors
-except those of the intervened vertices over the full configuration grid and
-marginalizing, which is the ground truth every symbolic result in the
-package is validated against.
+computes interventional distributions exactly by multiplying the CPT factors
+of the ancestors of the variables asked for, except those of the intervened
+vertices, over the grid of those ancestors and marginalizing, which is the
+ground truth every symbolic result in the package is validated against.
 
 A functional is evaluated by one ``transform`` fold that maps each node to
 its sorted free variables and an array with one axis per variable: input
@@ -59,103 +59,67 @@ def random_scm(g: CausalGraph, rng, card: int = 2, floor: float = 0.01) -> Discr
     return DiscreteSCM(g, cards, tuple(cpts))
 
 
-def _expand(scm: DiscreteSCM, i: int) -> np.ndarray:
-    """CPT of vertex i broadcast over the full configuration grid."""
-    g = scm.graph
-    n = len(g.names)
-    axes = sorted(_iter_bits(g.parent_masks[i])) + [i]
-    order = np.argsort(axes)
-    arr = np.transpose(scm.cpts[i], order)
-    shape = [1] * n
-    for a in axes:
-        shape[a] = scm.cards[a]
-    return arr.reshape(shape)
+def _joint(scm: DiscreteSCM, do_mask: int, keep: int) -> np.ndarray:
+    """Marginal over keep of the truncated factorization that intervenes on do_mask.
 
-
-def _truncated(scm: DiscreteSCM, do_mask: int) -> np.ndarray:
-    """Product of all factors except the intervened ones, over the full grid.
-
-    Axes of intervened vertices stay free, so one array simultaneously holds
-    the interventional joint for every value assignment to them.
+    do_mask must lie inside keep. Only the factors of W = An(keep) are
+    multiplied, over the grid of W alone: every vertex outside the ancestral
+    set W has all its descendants outside it too, so its factor sums to one
+    and the full grid is never needed. Axes are the members of keep in index
+    order; an intervened axis no factor reads is broadcast.
     """
-    key = ("trunc", do_mask)
-    got = scm._cache.get(key)
-    if got is not None:
-        return got
-    n = len(scm.graph.names)
-    out = np.ones((1,) * n)
-    for i in range(n):
-        if not (1 << i) & do_mask:
-            out = out * _expand(scm, i)
-    out = np.broadcast_to(out, scm.cards).copy() if out.shape != scm.cards else out
-    scm._cache[key] = out
-    return out
+    g = scm.graph
+    w = list(_iter_bits(g.ancestors_mask(keep, reflexive=True)))
+    pos = {v: k for k, v in enumerate(w)}
+    out = np.ones((1,) * len(w))
+    for i in w:
+        if (1 << i) & do_mask:
+            continue
+        axes = sorted(_iter_bits(g.parent_masks[i])) + [i]
+        shape = [1] * len(w)
+        for v in axes:
+            shape[pos[v]] = scm.cards[v]
+        out = out * np.transpose(scm.cpts[i], np.argsort(axes)).reshape(shape)
+    out = out.sum(axis=tuple(k for k, v in enumerate(w) if not (1 << v) & keep))
+    return np.broadcast_to(out, [scm.cards[v] for v in w if (1 << v) & keep]).copy()
 
 
 def _check_positivity(scm: DiscreteSCM):
-    if scm.cpt_min() > 0:
-        return
-    joint = _truncated(scm, 0)
-    if float(joint.min()) <= 0:
+    # every CPT entry is a factor of some configuration's probability
+    if scm.cpt_min() <= 0:
         raise EvaluationError("model violates positivity: some configuration has zero probability")
 
 
-def _marginal(scm: DiscreteSCM, arr: np.ndarray, keep_mask: int) -> np.ndarray:
-    drop = [i for i in range(len(scm.graph.names)) if not (1 << i) & keep_mask]
-    return arr.sum(axis=tuple(drop), keepdims=True) if drop else arr
+def _grouped(g: CausalGraph, arr: np.ndarray, *groups) -> np.ndarray:
+    """arr, with one axis per member of the groups in index order, as (sorted group...)."""
+    ix = [sorted(g._index[v] for v in names) for names in groups]
+    kept = sorted(i for group in ix for i in group)
+    return np.transpose(arr, [kept.index(i) for group in ix for i in group])
 
 
 def oracle_interventional(scm: DiscreteSCM, query: Query) -> np.ndarray:
     """Exact p(y | do(x)) with axes (sorted y..., sorted x...)."""
     _check_positivity(scm)
     g = scm.graph
-    y_ix = sorted(g._index[v] for v in query.y)
-    x_ix = sorted(g._index[v] for v in query.x)
-    do_mask = 0
-    for i in x_ix:
-        do_mask |= 1 << i
-    keep = do_mask
-    for i in y_ix:
-        keep |= 1 << i
-    t = _truncated(scm, do_mask)
-    m = _marginal(scm, t, keep)
-    m = np.squeeze(m, axis=tuple(i for i in range(len(g.names)) if not (1 << i) & keep))
-    # squeezed axes are ordered by vertex index; regroup as (y..., x...)
-    kept = sorted(y_ix + x_ix)
-    perm = [kept.index(i) for i in y_ix] + [kept.index(i) for i in x_ix]
-    return np.transpose(m, perm)
+    x = g.mask_of(query.x)
+    return _grouped(g, _joint(scm, x, x | g.mask_of(query.y)), query.y, query.x)
 
 
 def input_table(scm: DiscreteSCM, a, b, c) -> np.ndarray:
     """p(a | do(b), c) with axes (sorted a..., sorted b..., sorted c...)."""
     g = scm.graph
-    key = ("table", tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(c)))
+    key = (tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(c)))
     got = scm._cache.get(key)
     if got is not None:
         return got
-    a_ix = sorted(g._index[v] for v in a)
-    b_ix = sorted(g._index[v] for v in b)
-    c_ix = sorted(g._index[v] for v in c)
-    do_mask = 0
-    for i in b_ix:
-        do_mask |= 1 << i
-    keep = do_mask
-    for i in a_ix + c_ix:
-        keep |= 1 << i
-    t = _truncated(scm, do_mask)
-    joint = _marginal(scm, t, keep)
-    a_mask = 0
-    for i in a_ix:
-        a_mask |= 1 << i
-    cond = _marginal(scm, joint, keep & ~a_mask)
+    a_mask, b_mask = g.mask_of(a), g.mask_of(b)
+    keep = a_mask | b_mask | g.mask_of(c)
+    joint = _joint(scm, b_mask, keep)
+    kept = list(_iter_bits(keep))
+    cond = joint.sum(axis=tuple(k for k, v in enumerate(kept) if (1 << v) & a_mask), keepdims=True)
     if float(cond.min()) <= 0:
         raise EvaluationError("conditioning event has zero probability")
-    table = joint / cond
-    table = np.squeeze(table, axis=tuple(i for i in range(len(g.names)) if not (1 << i) & keep))
-    kept = sorted(a_ix + b_ix + c_ix)
-    perm = [kept.index(i) for i in a_ix + b_ix + c_ix]
-    out = np.transpose(table, perm)
-    scm._cache[key] = out
+    out = scm._cache[key] = _grouped(g, joint / cond, a, b, c)
     return out
 
 

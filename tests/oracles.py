@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own algorithms: the
 d-separation oracle enumerates simple paths and applies the blocking
 definition literally, reachability is a plain BFS, the transit-cluster
-oracle checks the five conditions on name sets, the pruned-model
+oracle checks the five conditions on name sets, the full-grid tables
+multiply every factor over every configuration, the pruned-model
 construction marginalizes dropped parents directly on the joint table, and
 the scalar evaluator computes one entry of a functional by recursion over
 assignments, reading only the package's input tables.
@@ -18,7 +19,6 @@ import numpy as np
 
 from dofuse import CausalGraph, DiscreteSCM, input_table
 from dofuse.functional import InputRef, Pinned, Product, SumOver
-from dofuse.scm import _expand, _truncated
 
 
 def full_adjacency(g: CausalGraph):
@@ -158,6 +158,39 @@ def random_connected_dag(rng, n_obs, p_edge=0.4, n_latents=0) -> CausalGraph:
     raise RuntimeError("no connected draw")
 
 
+def expand_factor(scm: DiscreteSCM, i: int) -> np.ndarray:
+    """CPT of vertex i broadcast over the full configuration grid."""
+    g = scm.graph
+    axes = sorted(j for j in range(len(g.names)) if g.parent_masks[i] >> j & 1) + [i]
+    shape = [1] * len(g.names)
+    for j in axes:
+        shape[j] = scm.cards[j]
+    return np.transpose(scm.cpts[i], np.argsort(axes)).reshape(shape)
+
+
+def full_grid_joint(scm: DiscreteSCM, b=()) -> np.ndarray:
+    """Product of every factor but those of b over the grid of all vertices, latents included."""
+    joint = np.ones(scm.cards)
+    for i, v in enumerate(scm.graph.names):
+        if v not in b:
+            joint = joint * expand_factor(scm, i)
+    return joint
+
+
+def full_grid_table(scm: DiscreteSCM, a, b, c) -> np.ndarray:
+    """p(a | do(b), c), axes (sorted a..., sorted b..., sorted c...), from ``full_grid_joint``.
+
+    Marginalizes and divides on the full grid; no ancestral pruning.
+    """
+    g = scm.graph
+    joint = full_grid_joint(scm, b)
+    names = sorted(a) + sorted(b) + sorted(c)
+    idx = [g._index[v] for v in names]
+    drop = tuple(i for i in range(len(g.names)) if i not in idx)
+    joint = np.transpose(joint.sum(axis=drop), np.argsort(np.argsort(idx)))
+    return joint / joint.sum(axis=tuple(range(len(a))), keepdims=True)
+
+
 def induce_pruned_scm(scm: DiscreteSCM, g2: CausalGraph, fresh: set, rng) -> DiscreteSCM:
     """The pruned-graph model induced by a pruning operation.
 
@@ -192,7 +225,7 @@ def induce_pruned_scm(scm: DiscreteSCM, g2: CausalGraph, fresh: set, rng) -> Dis
         dropped = pa1 - pa2
         assert pa2 <= pa1, f"{v} gained parents"
         if joint is None:
-            joint = _truncated(scm, 0)
+            joint = full_grid_joint(scm)
         drop_mask = 0
         for p in dropped:
             drop_mask |= 1 << g._index[p]
@@ -201,7 +234,7 @@ def induce_pruned_scm(scm: DiscreteSCM, g2: CausalGraph, fresh: set, rng) -> Dis
         for ax in range(n):
             if not (1 << ax) & drop_mask:
                 pd = pd.sum(axis=ax, keepdims=True)
-        factor = _expand(scm, i1) * pd
+        factor = expand_factor(scm, i1) * pd
         drop_axes = tuple(ax for ax in range(n) if (1 << ax) & drop_mask)
         merged = factor.sum(axis=drop_axes, keepdims=True)
         squeeze = tuple(ax for ax in range(n) if ax not in keep_axes)

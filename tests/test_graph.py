@@ -234,25 +234,55 @@ def test_kernel_dsep_on_cuts_matches_paths_oracle():
 
 
 def test_kernel_reach_is_the_active_path_set():
+    """``up | down`` is the active-path set; each side is checked on its own.
+
+    For v outside cond: v is reached iff it is d-connected to src given
+    cond; it is entered from a parent iff it is reached and has a parent
+    outside cond; when v has no conditioned descendant it is entered from a
+    child iff it is d-connected to src with its own incoming edges cut
+    (otherwise the ball bounces back up to it). For v in cond: it is
+    reached iff d-connected given the rest of cond, and entered from a
+    parent iff that holds with its outgoing edges cut.
+    """
     rng = np.random.default_rng(12)
+    sides = {"up": 0, "down": 0}
     for _ in range(150):
         g = oracles.random_dag(rng, 7, 0.4, n_latents=int(rng.integers(0, 3)))
+        parents, _ = oracles.full_adjacency(g)
         bits = _random_bits(rng, len(g.names), int(rng.integers(1, 5)))
         src, cond = bits[0], sum(bits[1:]) & g.observed_mask
+        x, z = g.names_of(src), g.names_of(cond)
+        an_z = oracles.reach_oracle(g, z, "ancestors")
+        up, down = reach(g.parent_masks, g.child_masks, src, cond)
+        assert up & src == src
         want = src
         for v in range(len(g.names)):
-            if (1 << v) & (src | cond):
+            vb, name = 1 << v, g.names[v]
+            if vb & src:
                 continue
-            if not oracles.dsep_paths_oracle(
-                g, g.names_of(src), g.names_of(1 << v), g.names_of(cond)
-            ):
-                want |= 1 << v
-        got = reach(g.parent_masks, g.child_masks, src, cond)
-        assert got & ~cond == want, (g, src, cond)
+            if vb & cond:
+                rest = z - {name}
+                seen = not oracles.dsep_paths_oracle(g, x, {name}, rest)
+                cut = edge_cut(g, (), {name})
+                assert bool(vb & down) == (not oracles.dsep_paths_oracle(cut, x, {name}, rest))
+                assert bool(vb & (up | down)) == seen, (g, src, cond, name)
+                continue
+            seen = not oracles.dsep_paths_oracle(g, x, {name}, z)
+            want |= vb * seen
+            assert bool(vb & down) == (seen and bool(parents[name] - z)), (g, src, cond, name)
+            if name in an_z:
+                assert bool(vb & up) == seen
+            else:
+                cut = g if vb & g.latent_mask else edge_cut(g, {name}, ())
+                assert bool(vb & up) == (not oracles.dsep_paths_oracle(cut, x, {name}, z))
+            sides["up"] += bool(vb & up & ~down)
+            sides["down"] += bool(vb & down & ~up)
+        assert (up | down) & ~cond == want, (g, src, cond)
         for stop in _random_bits(rng, len(g.names), 2):
             if not stop & cond:
                 hit = reach(g.parent_masks, g.child_masks, src, cond, stop)
-                assert bool(hit & stop) == bool(want & stop)
+                assert bool((hit[0] | hit[1]) & stop) == bool(want & stop)
+    assert min(sides.values()) > 50, sides  # both sides reached alone, often
 
 
 def test_graph_equality_is_structural():

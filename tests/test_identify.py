@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from dofuse import (
 from dofuse.distributions import cluster_inputs
 from dofuse.clustering import apply_cluster
 from dofuse.functional import InputRef, Product, SumOver, free_variables, to_json, from_json
+from dofuse.graph import _iter_bits, edge_cut
+from dofuse.identify import _Engine
+from dofuse.pipeline import run_pipeline
 
 import oracles
 import fixtures as fx
@@ -265,3 +270,96 @@ def test_counterexample_original_identifies():
     assert equivalent(r.functional, expected, fx.COUNTER_GRAPH, fx.COUNTER_QUERY)
     ok, worst = matches_oracle(r.functional, fx.COUNTER_GRAPH, fx.COUNTER_QUERY)
     assert ok, worst
+
+
+def _rule_guard(g, move, a, b, c, z):
+    """The guard of moving z by one rule, on ``edge_cut`` and the path oracle.
+
+    Moves: 0 rule 1 deletion (z in c), 1 rule 1 insertion (z free), 2 rule 2
+    b -> c (z in b), 3 rule 2 c -> b (z in c), 4 rule 3 deletion (z in b),
+    5 rule 3 insertion (z free).
+    """
+
+    def an(cin, m):
+        return m | oracles.reach_oracle(edge_cut(g, cin, ()), m, "ancestors")
+
+    cin, cout, cond = {
+        0: (b, (), b | (c - z)),
+        1: (b, (), b | c),
+        2: (b - z, z, (b - z) | c),
+        3: (b, z, b | (c - z)),
+        4: ((b - z) | (z - an(b - z, c)), (), (b - z) | c),
+        5: (b | (z - an(b, c)), (), b | c),
+    }[move]
+    return oracles.dsep_paths_oracle(edge_cut(g, cin, cout), a, z, cond)
+
+
+def test_one_walk_decides_every_guard():
+    """Each row of the guard table in ``identify`` against the rule's own guard.
+
+    A singleton passes exactly when the table says so; the whole pool passes
+    exactly when every singleton does, except for rule 3 deletion, where
+    that is only necessary and the search tests the whole of b on its own.
+    """
+    rng = np.random.default_rng(31)
+    verdicts = {move: set() for move in range(6)}
+    whole_b = 0
+    for _ in range(400):
+        g = oracles.random_dag(rng, int(rng.integers(3, 8)), 0.4, n_latents=int(rng.integers(0, 3)))
+        eng = _Engine(g)
+        n = g.n_observed
+        for _ in range(3):
+            role = rng.integers(0, 4, size=n)
+            a, b, c = (sum(1 << v for v in range(n) if role[v] == k) for k in range(3))
+            if not a:
+                continue
+            free = g.observed_mask & ~(a | b | c)
+            got = eng.guards(a, b, c, free)
+            names = [g.names_of(m) for m in (a, b, c)]
+            for move, pool in enumerate((c, free, b, c, b, free)):
+                want = 0
+                for v in _iter_bits(pool):
+                    if _rule_guard(g, move, *names, g.names_of(1 << v)):
+                        want |= 1 << v
+                assert got[move] == want, (g, a, b, c, move)
+                verdicts[move].add(want == pool)
+                if not pool & (pool - 1):
+                    continue
+                whole = _rule_guard(g, move, *names, g.names_of(pool))
+                if move != 4:
+                    assert whole == (want == pool), (g, a, b, c, move)
+                    continue
+                assert want == pool or not whole, (g, a, b, c)
+                if want == pool:
+                    whole_b += 1
+                    assert eng.dsep(b & ~eng.ancestors(0, c), 0, a, b, c) == whole
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+    assert whole_b > 5
+
+
+def test_one_walk_per_frontier_key(monkeypatch):
+    """The search walks once per expanded key, plus once per whole-b rule 3 deletion."""
+    module = sys.modules["dofuse.identify"]
+    kernel = module.reach
+    walks = []
+
+    def counting(par, ch, src, cond, stop=0):
+        walks.append((id(par), src, cond, stop))
+        return kernel(par, ch, src, cond, stop)
+
+    monkeypatch.setattr(module, "reach", counting)
+    problems = (
+        (fx.TOBACCO_GRAPH, fx.TOBACCO_INPUTS, parse_query("p(S | do(R))")),
+        (fx.CLUSTER_GRAPH, fx.CLUSTER_CASES["i"], fx.CLUSTER_QUERY),
+    )
+    for g, inputs, query in problems:
+        walks.clear()
+        inputs = tuple(parse_distribution(s) if isinstance(s, str) else s for s in inputs)
+        result = run_pipeline(g, inputs, query)
+        assert result.status == "identified"
+        full = [w for w in walks if not w[3]]
+        whole_b = [w for w in walks if w[3]]
+        # a key (a, b, c) is walked in its own cut graph from a given b | c
+        assert len(set(full)) == len(full) <= result.search.terms
+        assert all(stop & (stop - 1) for *_, stop in whole_b)
+        assert len(walks) <= len(full) + len(whole_b) < 1.1 * result.search.terms

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,3 +213,53 @@ def test_multivalued_domains():
     table = oracle_interventional(scm, parse_query("p(Y|do(X))"))
     assert table.shape == (3, 3)
     assert np.allclose(table.sum(axis=0), 1.0)
+
+
+def _random_queries(rng, n_graphs, n_obs, p_edge, roles):
+    """(graph, a, b, c) with a nonempty; each vertex draws its role from ``roles``."""
+    for _ in range(n_graphs):
+        g = oracles.random_dag(rng, n_obs, p_edge, n_latents=int(rng.integers(0, 3)))
+        names = sorted(g.observed)
+        for _ in range(4):
+            role = rng.choice(len(roles), size=len(names), p=roles)
+            a, b, c = ({v for v, r in zip(names, role) if r == k} for k in range(3))
+            if a:
+                yield g, a, b, c
+
+
+def test_tables_match_the_full_grid():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for g, a, b, c in _random_queries(rng, 60, 6, 0.4, [0.3, 0.2, 0.2, 0.3]):
+        assert len(g.names) <= 8
+        for card in (2, 3):
+            scm = random_scm(g, rng, card)
+            want = oracles.full_grid_table(scm, a, b, c)
+            assert np.allclose(input_table(scm, a, b, c), want, rtol=0, atol=1e-12)
+            want = oracles.full_grid_table(scm, a, b, set())
+            got = oracle_interventional(scm, Query(a, b))
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            checked += 1
+    assert checked > 300
+
+
+def test_input_table_stays_within_the_ancestors():
+    """Neither the cache nor the work grid of a table outgrows An(a, b, c)."""
+    rng = np.random.default_rng(22)
+    smaller = 0
+    for g, a, b, c in _random_queries(rng, 30, 14, 0.15, [0.1, 0.05, 0.05, 0.8]):
+        scm = random_scm(g, rng)
+        an = a | b | c
+        an |= oracles.reach_oracle(g, an, "ancestors")
+        bound = math.prod(scm.card(v) for v in an)
+        tracemalloc.start()
+        try:
+            input_table(scm, a, b, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(arr.size <= bound for arr in scm._cache.values())
+        # a few arrays of the ancestral grid plus interpreter bookkeeping
+        assert peak <= 4 * 8 * bound + (1 << 15), (g, a, b, c, peak, bound)
+        smaller += 8 * math.prod(scm.cards) > 4 * (4 * 8 * bound + (1 << 15))
+    assert smaller > 30  # the full grid would not fit the bound there
