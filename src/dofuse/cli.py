@@ -13,9 +13,9 @@ import sys
 from .clustering import enumerate_transit_clusters
 from .functional import render, to_json
 from .graph import GraphError
-from .identify import BUDGET_EXCEEDED, SearchBudget, identify
-from .invariance import IDENTIFIABLE, UNDETERMINED, InvarianceVerdict
-from .pipeline import _certify, _cluster, _require_outside_query, run_pipeline
+from .identify import SearchBudget, identify
+from .invariance import UNDETERMINED
+from .pipeline import _cluster, _require_outside_query, _transfer, run_pipeline
 from .problem import ProblemError, load_problem
 from .pruning import prune_all
 from .simulate import SIM_BUDGET, records_csv, run_campaign
@@ -132,12 +132,7 @@ def cmd_invariance(args) -> int:
         print(f"inputs incompatible with cluster: {ac}", file=sys.stderr)
         return 2
     search = identify(ac.graph_after, ac.inputs_after, problem.query, _budget(args))
-    if search.identified:
-        verdict = InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ac.label)
-    elif search.status == BUDGET_EXCEEDED:
-        verdict = InvarianceVerdict(UNDETERMINED, "clustered_search_capped", ac.label)
-    else:
-        verdict = _certify(ac)
+    verdict = _transfer(ac, search)
     if args.json:
         out = verdict.to_json()
         out["clustered_search"] = search.status

@@ -101,18 +101,7 @@ class CausalGraph:
         self._canon = (names[:m], tuple(sorted(seen_edges)), canon_latents)
 
     def _check_acyclic(self):
-        n = len(self.names)
-        indeg = [bin(self.parent_masks[i]).count("1") for i in range(n)]
-        stack = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for c in _iter_bits(self.child_masks[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
-        if seen != n:
+        if len(self.topological_order()) != len(self.names):
             raise GraphError("cycle detected")
 
     # -- basic queries ------------------------------------------------------

@@ -7,9 +7,9 @@ individual checks carry stable line numbers; the trace records, per input,
 the first line that admitted it, or the line whose condition failed.
 
 Forming the clustered problem and promoting a verdict through it is the
-pipeline's cluster stage (``pipeline._cluster``, ``pipeline._certify`` and
-``pipeline.decide_invariance``); this module only checks the inputs and
-holds the verdict type.
+pipeline's cluster stage (``pipeline._cluster``, ``pipeline._certify``,
+``pipeline._transfer`` and ``pipeline.decide_invariance``); this module only
+checks the inputs and holds the verdict type.
 """
 
 from __future__ import annotations

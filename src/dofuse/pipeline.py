@@ -7,9 +7,12 @@ the pruning; a negative search outcome is promoted to a verdict about the
 original problem only when every applied clustering certifies invariance
 (pruning steps that applied are invariant by construction).
 
-Clustering is one stage here: ``_cluster`` forms a clustered problem and
-``_certify`` is the one promotion of a negative verdict through it. Layer
-functions are called through this module's globals, so they can be wrapped.
+Clustering is one stage here: ``_cluster`` forms a clustered problem,
+``_certify`` promotes a negative verdict through it, and ``_transfer`` maps a
+clustered search to a verdict about the graph before it. ``run_pipeline``,
+``decide_invariance``, ``dofuse invariance`` and the simulation campaign are
+built on these. Layer functions are called through this module's globals, so
+they can be wrapped.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class PipelineResult:
     status: str  # identified | non_identifiable | undetermined | budget_exceeded
     query: Query
     functional: object | None = None          # in terms of the original inputs
-    reduced_functional: object | None = None  # in terms of the reduced problem
     prune: PruneResult | None = None
     clusters: tuple = ()
     search: IdentifyResult | None = None
@@ -84,6 +86,15 @@ def _certify(ac: AppliedCluster) -> InvarianceVerdict:
     if res.ok:
         return InvarianceVerdict(NON_IDENTIFIABLE, "verified_inputs", ac.label, res)
     return InvarianceVerdict(UNDETERMINED, "verify_inputs_false", ac.label, res)
+
+
+def _transfer(ac: AppliedCluster, search: IdentifyResult) -> InvarianceVerdict:
+    """Verdict before clustering ``ac``, given the search ``search`` after it."""
+    if search.status == IDENTIFIED:
+        return InvarianceVerdict(IDENTIFIABLE, "identifiable_transfer", ac.label)
+    if search.status == BUDGET_EXCEEDED:
+        return InvarianceVerdict(UNDETERMINED, "clustered_search_capped", ac.label)
+    return _certify(ac)
 
 
 def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
@@ -183,12 +194,12 @@ def run_pipeline(
         for ac in reversed(applied):
             lifted = lift_functional_clustering(lifted, ac.mapping)
         lifted = lift_functional_pruning(lifted, pruned)
-        return PipelineResult(IDENTIFIED, query, lifted, search.functional, pruned, applied, search)
+        return PipelineResult(IDENTIFIED, query, lifted, pruned, applied, search)
     if search.status == BUDGET_EXCEEDED:
-        return PipelineResult(BUDGET_EXCEEDED, query, None, None, pruned, applied, search)
+        return PipelineResult(BUDGET_EXCEEDED, query, None, pruned, applied, search)
 
     # saturated without identification: promote through the clusterings
     verdicts = tuple(_certify(ac) for ac in reversed(applied))
     all_certified = all(v.status == NON_IDENTIFIABLE for v in verdicts)
     status = "non_identifiable" if all_certified else "undetermined"
-    return PipelineResult(status, query, None, None, pruned, applied, search, verdicts)
+    return PipelineResult(status, query, None, pruned, applied, search, verdicts)

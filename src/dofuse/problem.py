@@ -40,7 +40,6 @@ class ProblemFile:
     graph: CausalGraph
     inputs: tuple
     query: Query
-    graph_text: str = ""
 
     def render(self) -> str:
         lines = ["[graph]"]
@@ -80,8 +79,7 @@ def parse_problem(text: str) -> ProblemFile:
     if len(sections["query"]) != 1:
         raise ProblemError("exactly one query line required")
 
-    graph_text = "\n".join(line for _, line in sections["graph"])
-    graph = parse_graph(graph_text)
+    graph = parse_graph("\n".join(line for _, line in sections["graph"]))
     inputs = []
     for lineno, line in sections["inputs"]:
         try:
@@ -95,7 +93,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemError(f"line {lineno}: {exc}") from exc
     inputs = dedup_inputs(inputs)
     validate_inputs(graph, inputs, query)
-    return ProblemFile(graph, inputs, query, graph_text)
+    return ProblemFile(graph, inputs, query)
 
 
 def load_problem(path) -> ProblemFile:

@@ -6,11 +6,13 @@ order: graph size, topological order, edge coin flips, ancestor repair
 edges, cluster vertex, receiver/emitter/internal draws with their retry
 loops, input role assignments, and finally the emitter-subset expansion of
 the original inputs. Records are therefore bit-for-bit reproducible from
-the seed alone, except for the duration fields. The setting classification
-(A: identifiable in the clustered graph, B: certified non-identifiable,
-C: neither) is a pure function of the search and verification verdicts and
-never of timing. Instances whose searches hit the wall-clock timeout, or
-whose clustered search hits the term budget, are discarded and flagged.
+the seed alone, except for the duration fields. The setting is the
+pipeline's verdict about the expanded graph, the one ``dofuse invariance``
+reports: ``pipeline._cluster`` forms the clustered problem and
+``pipeline._transfer`` maps its search to A (identifiable), B (certified
+non-identifiable) or C (undetermined), never depending on timing.
+Instances whose searches hit the wall-clock timeout, or whose clustered
+search hits the term budget, are discarded and flagged.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ from .clustering import enumerate_transit_clusters
 from .distributions import InputDistribution, Query
 from .graph import CausalGraph, _iter_bits, relations
 from .identify import BUDGET_EXCEEDED, SearchBudget, identify
-from .invariance import verify_inputs
+from .invariance import IDENTIFIABLE, NON_IDENTIFIABLE, UNDETERMINED
+from .invariance import verify_inputs  # unused here; bench/campaign.py wraps it by name
+from .pipeline import _cluster, _transfer
 
 SIM_BUDGET = SearchBudget(max_terms=12_000, max_depth=25)
+_SETTINGS = {IDENTIFIABLE: "A", NON_IDENTIFIABLE: "B", UNDETERMINED: "C"}
 
 # retries of the receiver/emitter/internal draw before the cluster vertex is
 # redrawn; the cap matters because some draws admit no valid wiring (a lone
@@ -208,15 +213,14 @@ def simulate_instance(
     budget: SearchBudget = SIM_BUDGET,
     timeout: float = 60.0,
 ) -> InstanceRecord:
-    """One record: generate, search both strategies, classify."""
+    """One record: generate, search both strategies, classify by the pipeline's verdict."""
     inst = generate_instance(seed)
     size = len(inst.graph.names)
     n_inputs = len(inst.inputs)
-    start = time.perf_counter()
 
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     unclustered = identify(inst.graph, inst.inputs, inst.query, budget)
-    t1 = time.perf_counter() - t0
+    t1 = time.perf_counter() - start
     t1_capped = unclustered.status == BUDGET_EXCEEDED
 
     def discard():
@@ -224,28 +228,16 @@ def simulate_instance(
             seed, size, n_inputs, None, t1 * 1000.0, 0.0, True, t1_capped
         )
 
-    if time.perf_counter() - start > timeout:
+    if t1 > timeout:
         return discard()
     t0 = time.perf_counter()
     enumerate_transit_clusters(inst.graph)
-    t2 = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    clustered = identify(inst.clustered_graph, inst.clustered_inputs, inst.query, budget)
-    t3 = time.perf_counter() - t0
+    ac = _cluster(inst.graph, inst.inputs, frozenset(inst.cluster_members), inst.cluster_vertex)
+    clustered = identify(ac.graph_after, ac.inputs_after, inst.query, budget)
     if clustered.status == BUDGET_EXCEEDED or time.perf_counter() - start > timeout:
         return discard()
-
-    if clustered.identified:
-        setting, t_clustered = "A", t2 + t3
-    else:
-        t0 = time.perf_counter()
-        verified = verify_inputs(inst.clustered_graph, inst.clustered_inputs, inst.cluster_vertex)
-        t4 = time.perf_counter() - t0
-        if verified.ok:
-            setting, t_clustered = "B", t2 + t3 + t4
-        else:
-            setting, t_clustered = "C", t1 + t2 + t3 + t4
+    setting = _SETTINGS[_transfer(ac, clustered).status]
+    t_clustered = time.perf_counter() - t0 + (t1 if setting == "C" else 0.0)
 
     return InstanceRecord(
         seed, size, n_inputs, setting, t1 * 1000.0, t_clustered * 1000.0,

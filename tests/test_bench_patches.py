@@ -5,9 +5,10 @@
 unbinds one of them breaks only traced runs. Building the workloads here
 catches that in the fast test loop. Nothing under ``bench/`` is modified.
 
-Wrapping a name on ``dofuse.pipeline`` only times the calls that
-``run_pipeline`` makes through that module's globals, so the test below also
-checks that the cluster stage still reaches its layer functions there.
+Wrapping a name on ``dofuse.pipeline`` only times the calls made through
+that module's globals, so the test below also checks that the cluster stage
+still reaches its layer functions there from each of its callers:
+``run_pipeline``, the simulation campaign and ``dofuse invariance``.
 """
 
 import importlib
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from dofuse import parse_distribution, pipeline
+from dofuse import ProblemFile, SearchBudget, parse_distribution, pipeline
+from dofuse.cli import main
+from dofuse.simulate import simulate_instance
 
 import fixtures as fx
 
@@ -36,7 +39,30 @@ def test_traced_names_resolve(monkeypatch, module_name, class_name):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_cluster_stage_calls_through_pipeline_globals(monkeypatch):
+def _run_pipeline(tmp_path):
+    inputs = [parse_distribution(s) for s in fx.CLUSTER_CASES["iii"]]
+    result = pipeline.run_pipeline(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_QUERY)
+    assert result.status == "non_identifiable" and len(result.clusters) == 2
+
+
+def _simulate_instance(tmp_path):
+    # the first seed of the campaign benchmark's window whose record is B or C
+    assert simulate_instance(150, budget=SearchBudget(3000, 20)).setting in ("B", "C")
+
+
+def _cli_invariance(tmp_path):
+    inputs = tuple(parse_distribution(s) for s in ("p(X,Z1,Z2)", "p(Y,Z1,Z2)"))
+    path = tmp_path / "counter.txt"
+    path.write_text(ProblemFile(fx.COUNTER_GRAPH, inputs, fx.COUNTER_QUERY).render())
+    assert main(["invariance", "-f", str(path), "--cluster", "Z=Z1,Z2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [_run_pipeline, _simulate_instance, _cli_invariance],
+    ids=["run_pipeline", "simulate_instance", "cli_invariance"],
+)
+def test_cluster_stage_calls_through_pipeline_globals(monkeypatch, tmp_path, caller):
     calls = dict.fromkeys(
         ("cluster_inputs", "apply_cluster", "check_single_layer", "verify_inputs"), 0
     )
@@ -46,7 +72,5 @@ def test_cluster_stage_calls_through_pipeline_globals(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counted)
-    inputs = [parse_distribution(s) for s in fx.CLUSTER_CASES["iii"]]
-    result = pipeline.run_pipeline(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_QUERY)
-    assert result.status == "non_identifiable" and len(result.clusters) == 2
+    caller(tmp_path)
     assert all(calls.values()), calls

@@ -2,10 +2,14 @@ import numpy as np
 
 from dofuse import (
     SearchBudget,
+    check_single_layer,
     cluster_inputs,
+    identify,
     is_transit_cluster,
     relations,
+    verify_inputs,
 )
+from dofuse.pipeline import _cluster
 from dofuse.simulate import (
     InstanceRecord,
     generate_instance,
@@ -62,6 +66,29 @@ def test_generated_inputs_always_compatible():
         )
         assert res.compatible, seed
         assert res.inputs == inst.clustered_inputs
+        members = frozenset(inst.cluster_members)
+        ac = _cluster(inst.graph, inst.inputs, members, inst.cluster_vertex)
+        assert ac.graph_after == inst.clustered_graph, seed
+        assert not check_single_layer(inst.graph, members), seed
+
+
+def test_setting_matches_direct_classification():
+    """The pipeline's verdict sorts records as searching and verifying the
+    generated clustered problem directly does."""
+    budget = SearchBudget(3000, 20)
+    for seed in range(20):
+        inst = generate_instance(seed)
+        search = identify(inst.clustered_graph, inst.clustered_inputs, inst.query, budget)
+        if search.status == "budget_exceeded":
+            expected = None
+        elif search.identified:
+            expected = "A"
+        else:
+            verified = verify_inputs(
+                inst.clustered_graph, inst.clustered_inputs, inst.cluster_vertex
+            )
+            expected = "B" if verified.ok else "C"
+        assert simulate_instance(seed, budget=budget).setting == expected, seed
 
 
 def test_record_reproducible_excluding_durations():
