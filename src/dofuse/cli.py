@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-f", "--file", required=True, help="problem file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if with_budget:
-            p.add_argument("--budget-terms", type=int, default=200_000)
-            p.add_argument("--budget-depth", type=int, default=25)
+            p.add_argument("--budget-terms", type=int, default=SearchBudget.max_terms)
+            p.add_argument("--budget-depth", type=int, default=SearchBudget.max_depth)
 
     p = sub.add_parser("prune", help="apply the pruning pipeline")
     common(p, with_budget=False)
@@ -191,9 +191,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    budget = SearchBudget(args.budget_terms, args.budget_depth)
     records, summary = run_campaign(
-        args.instances, args.seed, args.workers, budget, args.timeout
+        args.instances, args.seed, args.workers, _budget(args), args.timeout
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graph import CausalGraph, GraphError, _closure, _iter_bits, _union, cut_masks
+from .graph import CausalGraph, GraphError, _closure, _iter_bits, cut_masks
 
 ENUMERATION_GUARD = 1 << 22
 
@@ -32,7 +32,6 @@ class TransitCluster:
     members: frozenset
     receivers: frozenset
     emitters: frozenset
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -147,43 +146,33 @@ def enumerate_transit_clusters(g: CausalGraph, max_size: int | None = None, *, f
             t = sum(combo)
             rec, em = _boundary(g, t)
             if _verdict(g, t, rec, em).ok:
-                out.append(TransitCluster(g.names_of(t), g.names_of(rec), g.names_of(em), True))
+                out.append(TransitCluster(g.names_of(t), g.names_of(rec), g.names_of(em)))
     out.sort(key=lambda c: tuple(sorted(c.members)))
     return out
 
 
 def apply_cluster(g: CausalGraph, t_members, t_name: str) -> CausalGraph:
-    """Replace a verified cluster by a single observed vertex.
+    """Contract a verified cluster into a single observed vertex by renaming.
 
-    The new vertex inherits the external parents and children of the cluster.
-    Latents in the cluster are dropped; one outside keeps its children, members
-    merged into the new vertex, even when that leaves it a single child.
+    Every member is renamed ``t_name``; observed edges are renamed and the
+    self-loops this makes are dropped, and the outside children of a latent
+    member become children of ``t_name``. A latent outside the cluster keeps
+    its renamed children, even when that leaves it a single child.
+    ``t_name`` is always a vertex, also when every member is latent.
     """
-    t, rec, em = _require_cluster(g, t_members)
+    t = _require_cluster(g, t_members)[0]
     if g.has_vertex(t_name):
         raise GraphError(f"cluster name {t_name} collides with an existing vertex")
-    # only receivers have parents, and only emitters children, outside t
-    ext_parents = _union(g.parent_masks, rec) & ~t
-    ext_children = _union(g.child_masks, em) & ~t
-
-    observed = [v for v in g.observed if not 1 << g._index[v] & t] + [t_name]
-    edges = [
-        (p, c)
-        for p, c in g.edge_list()
-        if not (1 << g._index[p] | 1 << g._index[c]) & t
-    ]
-    for p in _iter_bits(ext_parents & g.observed_mask):
-        edges.append((g.names[p], t_name))
-    for c in _iter_bits(ext_children):
-        edges.append((t_name, g.names[c]))
+    rename = {v: t_name if 1 << i & t else v for i, v in enumerate(g.names)}
+    edges = g.edge_list()
     latent_children = {}
     for u, kids in g.latent_children_map().items():
-        ui = 1 << g._index[u]
-        if ui & t:
-            continue
-        # a latent whose children collapse into the cluster keeps a single
-        # child edge; it carries no confounding but stays a vertex
-        latent_children[u] = sorted({t_name if 1 << g._index[k] & t else k for k in kids})
+        if rename[u] == t_name:
+            edges += [(u, k) for k in kids]
+        else:
+            latent_children[u] = sorted({rename[k] for k in kids})
+    edges = sorted({(rename[p], rename[c]) for p, c in edges} - {(t_name, t_name)})
+    observed = {rename[v] for v in g.observed} | {t_name}
     clustered = CausalGraph(observed, edges, latent_children, check_latents=False)
     assert len(clustered.names) == len(g.names) - bin(t).count("1") + 1
     return clustered

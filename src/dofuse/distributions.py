@@ -108,6 +108,10 @@ def parse_distribution(text: str) -> InputDistribution:
         c = _split_names(rest)
     if not a:
         raise DistributionError(f"empty measured set in {text!r}")
+    # a parenthesis left in a name is a nested or unbalanced group, which
+    # render would write back as a different distribution
+    if any("(" in v or ")" in v for v in a + b + c):
+        raise DistributionError(f"unbalanced parentheses in {text!r}")
     return InputDistribution(frozenset(a), frozenset(b), frozenset(c))
 
 
@@ -179,8 +183,6 @@ class ClusterMapping:
     """
 
     t_name: str
-    members: frozenset
-    emitters: frozenset
     subsets: tuple
     slots: tuple
 
@@ -198,11 +200,12 @@ class ClusterInputsResult:
 def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInputsResult:
     """Replace the members of a verified transit cluster by a single vertex.
 
-    Each input must satisfy exactly one of the four compatibility conditions:
-    the emitters sit wholly inside a, b or c (with no other slot touching the
-    cluster), or the input does not mention the cluster at all. Inputs that
-    split the cluster across slots, or see only part of the emitter set, are
-    incompatible. A latent emitter rules out clustering the inputs entirely.
+    One slot test per input, on the observed members it mentions: none, and
+    the input is kept as it is; otherwise one slot (a, b or c) must hold
+    them all, among them every emitter, and they become ``t_name`` there.
+    Inputs that split the cluster across slots, or see only part of the
+    emitter set, are incompatible. A latent emitter rules out clustering the
+    inputs entirely, and so does no input mentioning the cluster.
     """
     t = frozenset(t_members)
     emitters = g.names_of(_require_cluster(g, t)[2])
@@ -213,47 +216,32 @@ def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInp
             failing_condition="latent_emitter",
         )
     t_observed = t & g.observed
-    new_inputs = []
-    subsets = []
-    slots = []
-    any_present = False
+    new_inputs, subsets, slots = [], [], []
     for i, dist in enumerate(inputs):
-        holds = []
-        for slot, vals in (("a", dist.a), ("b", dist.b), ("c", dist.c)):
-            others = dist.variables - vals
-            if emitters <= vals and t_observed & vals and not t_observed & others:
-                holds.append(slot)
-        if not t_observed & dist.variables:
-            holds.append("d")
-        if len(holds) != 1:
-            which = "none" if not holds else "/".join(holds)
-            return ClusterInputsResult(
-                False,
-                reason=f"input {i} ({dist.render()}) satisfies {which} of the "
-                "compatibility conditions",
-                failing_input=i,
-                failing_condition=which,
-            )
-        slot = holds[0]
-        if slot == "d":
-            new_inputs.append(dist)
-            subsets.append(frozenset())
-            slots.append("")
-            continue
-        any_present = True
-        subset = t_observed & getattr(dist, slot)
-        repl = {
-            s: (vals - subset) | ({t_name} if s == slot else frozenset())
-            for s, vals in (("a", dist.a), ("b", dist.b), ("c", dist.c))
-        }
-        new_inputs.append(InputDistribution(repl["a"], repl["b"], repl["c"]))
-        subsets.append(subset)
+        mentioned = t_observed & dist.variables
+        slot = ""
+        if mentioned:
+            parts = {"a": dist.a, "b": dist.b, "c": dist.c}
+            slot = next((s for s, vals in parts.items() if mentioned <= vals), "")
+            if not slot or not emitters <= mentioned:
+                return ClusterInputsResult(
+                    False,
+                    reason=f"input {i} ({dist.render()}) satisfies none of the "
+                    "compatibility conditions",
+                    failing_input=i,
+                    failing_condition="none",
+                )
+            parts = {s: vals - mentioned for s, vals in parts.items()}
+            parts[slot] |= {t_name}
+            dist = InputDistribution(**parts)
+        new_inputs.append(dist)
+        subsets.append(mentioned)
         slots.append(slot)
-    if not any_present:
+    if not any(subsets):
         return ClusterInputsResult(
             False,
             reason="no input contains the emitters of the cluster",
             failing_condition="absent",
         )
-    mapping = ClusterMapping(t_name, t, frozenset(emitters), tuple(subsets), tuple(slots))
+    mapping = ClusterMapping(t_name, tuple(subsets), tuple(slots))
     return ClusterInputsResult(True, tuple(new_inputs), mapping)

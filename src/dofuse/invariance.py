@@ -3,8 +3,9 @@
 ``verify_inputs`` walks the clustered input distributions and checks, per
 input, the d-separation and companion-input conditions that make clustering
 safe to reason about when the clustered effect is *not* identifiable. The
-individual checks carry stable line numbers; the trace records, per input,
-the first line that admitted it, or the line whose condition failed.
+individual checks carry stable line numbers; each input gets one verdict,
+the first line that admitted it or the line whose condition failed, and the
+trace records one entry per input up to the first failure.
 
 Forming the clustered problem and promoting a verdict through it is the
 pipeline's cluster stage (``pipeline._cluster``, ``pipeline._certify``,
@@ -54,12 +55,47 @@ def _dsep(g: CausalGraph, x_mask, y_mask, z_mask, cut_in=0, cut_out=0) -> bool:
     return dsep_masks(par, ch, x_mask, y_mask, z_mask)
 
 
+def _verify_one(g: CausalGraph, inputs, dist, t_name: str, t_bit: int, de_t: int) -> tuple:
+    """``(line, passed)`` for one clustered input: the line that decides it."""
+    a = g.mask_of(dist.a)
+    b = g.mask_of(dist.b)
+    c = g.mask_of(dist.c)
+    if t_bit & (a | b | c):
+        if c & de_t:
+            return 5, False
+        if t_bit & a:
+            d = de_t & a
+            return 7, _dsep(g, d, t_bit, b | c | (a & ~(d | t_bit)), cut_in=b, cut_out=t_bit)
+        if t_bit & b:
+            return 8, True
+        return 9, _dsep(g, a, t_bit, b | (c & ~t_bit), cut_in=b, cut_out=t_bit)
+    if (
+        any(t_name in other.a and not other.b and not other.c for other in inputs)
+        and _dsep(g, a, t_bit, b | c, cut_in=b, cut_out=t_bit)
+        and _dsep(g, t_bit, c, b, cut_in=b)
+        and _dsep(g, t_bit, b, 0, cut_in=b)
+    ):
+        return 12, True
+    # rule-3 style insertion of do(T): cut the incoming edges of T unless T is
+    # an ancestor of the conditioning set once the intervened inputs are cut
+    par_b, _ = cut_masks(g.parent_masks, g.child_masks, b, 0)
+    t_cut = 0 if _closure(par_b, c) & t_bit else t_bit
+    if _dsep(g, a, t_bit, b | c, cut_in=b | t_cut):
+        return 14, True
+    companion = any(
+        dist.a <= other.a and other.b == dist.b | {t_name} and other.c == dist.c
+        for other in inputs
+    )
+    return 15, companion
+
+
 def verify_inputs(g: CausalGraph, inputs, t_name: str) -> VerifyResult:
     """Check the clustered inputs against the cluster vertex ``t_name``.
 
     Returns true immediately when the cluster vertex has no parents at all.
-    Otherwise every input must pass its slot condition (lines 5-9 when the
-    vertex appears in the input, lines 12-15 when it does not).
+    Otherwise each input gets one verdict, the line of its slot condition
+    that decides it (lines 5-9 when the vertex appears in the input, lines
+    12-15 when it does not), and the first failing input ends the check.
     """
     if not g.has_vertex(t_name):
         raise GraphError(f"cluster vertex {t_name} not in graph")
@@ -68,61 +104,11 @@ def verify_inputs(g: CausalGraph, inputs, t_name: str) -> VerifyResult:
         return VerifyResult(True, trace=(VerifyTraceEntry(-1, 2, True),))
     de_t = g.descendants_mask(t_bit)
     trace = []
-
-    def fail(i, line):
-        trace.append(VerifyTraceEntry(i, line, False))
-        return VerifyResult(False, i, line, tuple(trace))
-
     for i, dist in enumerate(inputs):
-        a = g.mask_of(dist.a)
-        b = g.mask_of(dist.b)
-        c = g.mask_of(dist.c)
-        if t_bit & (a | b | c):
-            if c & de_t:
-                return fail(i, 5)
-            d = de_t & a
-            if t_bit & a:
-                if _dsep(g, d, t_bit, b | c | (a & ~(d | t_bit)), cut_in=b, cut_out=t_bit):
-                    trace.append(VerifyTraceEntry(i, 7, True))
-                    continue
-                return fail(i, 7)
-            if t_bit & b:
-                trace.append(VerifyTraceEntry(i, 8, True))
-                continue
-            if _dsep(g, a, t_bit, b | (c & ~t_bit), cut_in=b, cut_out=t_bit):
-                trace.append(VerifyTraceEntry(i, 9, True))
-                continue
-            return fail(i, 9)
-        else:
-            has_marginal = any(
-                t_name in other.a and not other.b and not other.c for other in inputs
-            )
-            if has_marginal:
-                if (
-                    _dsep(g, a, t_bit, b | c, cut_in=b, cut_out=t_bit)
-                    and _dsep(g, t_bit, c, b, cut_in=b)
-                    and _dsep(g, t_bit, b, 0, cut_in=b)
-                ):
-                    trace.append(VerifyTraceEntry(i, 12, True))
-                    continue
-            # rule-3 style insertion of do(T): cut the incoming edges of T
-            # unless T is an ancestor of the conditioning set once the
-            # intervened inputs are cut
-            par_b, _ = cut_masks(g.parent_masks, g.child_masks, b, 0)
-            t_cut = 0 if _closure(par_b, c) & t_bit else t_bit
-            if _dsep(g, a, t_bit, b | c, cut_in=b | t_cut):
-                trace.append(VerifyTraceEntry(i, 14, True))
-                continue
-            companion = any(
-                dist.a <= other.a
-                and other.b == dist.b | {t_name}
-                and other.c == dist.c
-                for other in inputs
-            )
-            if companion:
-                trace.append(VerifyTraceEntry(i, 15, True))
-                continue
-            return fail(i, 15)
+        line, passed = _verify_one(g, inputs, dist, t_name, t_bit, de_t)
+        trace.append(VerifyTraceEntry(i, line, passed))
+        if not passed:
+            return VerifyResult(False, i, line, tuple(trace))
     return VerifyResult(True, trace=tuple(trace))
 
 

@@ -100,9 +100,11 @@ def _transfer(ac: AppliedCluster, search: IdentifyResult) -> InvarianceVerdict:
 def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
     """The requested clusters, or greedily the largest compatible transit ones.
 
-    A requested cluster that overlaps an earlier one, meets the query or
-    whose inputs are incompatible raises ``GraphError``; such an automatic
-    candidate is skipped. An automatic name is the first free ``T{k}``.
+    One refusal path: a cluster that overlaps an earlier one, meets the
+    query, is not a transit cluster of the graph so far or whose inputs are
+    incompatible raises ``GraphError``. A requested cluster passes it on to
+    the caller; an automatic candidate is skipped. An automatic name is the
+    first free ``T{k}``.
     """
     auto = requested is None
     if auto:
@@ -116,25 +118,21 @@ def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
     for t_name, members in requested:
         t_name = t_name or next(f"T{k}" for k in count(1) if f"T{k}" not in used)
         members = frozenset(members)
-        if members & taken:
-            ac = f"clusters overlap on {sorted(members & taken)}"
-        elif members & (query.x | query.y):
-            ac = "cluster intersects the query"
-        else:
-            try:
-                ac = _cluster(g, inputs, members, t_name)
-            except GraphError:
-                if not auto:
-                    raise
-                continue  # an earlier clustering may have invalidated this candidate
+        try:
+            if members & taken:
+                raise GraphError(f"clusters overlap on {sorted(members & taken)}")
+            if members & (query.x | query.y):
+                raise GraphError("cluster intersects the query")
+            ac = _cluster(g, inputs, members, t_name)
             if isinstance(ac, str):
-                ac = f"incompatible cluster {t_name}: {ac}"
-        if isinstance(ac, AppliedCluster):
-            applied.append(ac)
-            taken, g, inputs = taken | members, ac.graph_after, ac.inputs_after
-            used.add(t_name)
-        elif not auto:
-            raise GraphError(ac)
+                raise GraphError(f"incompatible cluster {t_name}: {ac}")
+        except GraphError:
+            if not auto:
+                raise
+            continue  # an earlier clustering may have invalidated this candidate
+        applied.append(ac)
+        taken, g, inputs = taken | members, ac.graph_after, ac.inputs_after
+        used.add(t_name)
     return tuple(applied)
 
 

@@ -6,7 +6,8 @@ order: graph size, topological order, edge coin flips, ancestor repair
 edges, cluster vertex, receiver/emitter/internal draws with their retry
 loops, input role assignments, and finally the emitter-subset expansion of
 the original inputs. Records are therefore bit-for-bit reproducible from
-the seed alone, except for the duration fields. The setting is the
+the seed alone, except for the duration fields and any discard made by the
+wall-clock timeout. The setting is the
 pipeline's verdict about the expanded graph, the one ``dofuse invariance``
 reports: ``pipeline._cluster`` forms the clustered problem and
 ``pipeline._transfer`` maps its search to A (identifiable), B (certified

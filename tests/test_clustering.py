@@ -108,7 +108,7 @@ def test_enumerate_showcase():
     keys = [tuple(sorted(c.members)) for c in found]
     assert keys == sorted(keys)
     for c in found:
-        assert c.verified
+        assert is_transit_cluster(fx.CLUSTER_GRAPH, c.members).ok
 
 
 def test_enumerate_flat_graph():
@@ -185,6 +185,18 @@ def test_apply_cluster_with_latent_member():
     out = apply_cluster(g, {"Z", u}, "T")
     assert out == parse_graph("X -> Y\nT -> X\nT -> Y")
     assert "T" in out.observed
+
+
+def test_apply_cluster_all_latent():
+    # two latents over the same pair are a transit cluster with no observed
+    # member, so the contraction must add the cluster vertex itself
+    g = parse_graph("A -> C\nlatent U1 : A B\nlatent U2 : A B")
+    (c,) = [c for c in enumerate_transit_clusters(g) if c.members == {"U1", "U2"}]
+    assert c.receivers == frozenset() and c.emitters == {"U1", "U2"}
+    out = apply_cluster(g, {"U1", "U2"}, "T")
+    assert out.names == ("A", "B", "C", "T")
+    assert out.edge_list() == [("A", "C"), ("T", "A"), ("T", "B")]
+    assert not out.latents
 
 
 def test_check_single_layer():

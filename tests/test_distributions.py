@@ -40,6 +40,9 @@ def test_parse_rejects_bad_forms():
         parse_distribution("p( | X)")
     with pytest.raises(DistributionError):
         parse_distribution("p(X | X)")
+    # read as names, a nested group would render as a different input
+    with pytest.raises(DistributionError):
+        parse_distribution("p(A | do(B,a(b,X,do))")
 
 
 def test_parse_query():

@@ -226,7 +226,7 @@ def test_lift_clustering_identity_when_absent():
     mapping_free = InputRef(0, ("Y",), (), ("X",))
     from dofuse.distributions import ClusterMapping
 
-    mapping = ClusterMapping("T", frozenset({"A"}), frozenset({"A"}), (frozenset(),), ("",))
+    mapping = ClusterMapping("T", (frozenset(),), ("",))
     assert lift_functional_clustering(mapping_free, mapping) == mapping_free
 
 
