@@ -12,7 +12,7 @@ import sys
 
 from .clustering import enumerate_transit_clusters
 from .functional import render, to_json
-from .graph import GraphError
+from .graph import GraphError, _names
 from .identify import SearchBudget, identify
 from .invariance import UNDETERMINED
 from .pipeline import _cluster, _require_outside_query, _transfer, run_pipeline
@@ -23,10 +23,10 @@ from .simulate import SIM_BUDGET, records_csv, run_campaign
 
 def _parse_cluster_spec(spec: str):
     name, _, members = spec.partition("=")
-    members = [m for m in members.replace(",", " ").split() if m]
-    if not name or not members:
+    name, members = (_names(part, argparse.ArgumentTypeError) for part in (name, members))
+    if len(name) != 1 or not members:
         raise argparse.ArgumentTypeError(f"expected NAME=v1,v2,... got {spec!r}")
-    return name.strip(), frozenset(members)
+    return name[0], frozenset(members)
 
 
 def _budget(args) -> SearchBudget:

@@ -13,7 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 from .clustering import _require_cluster
-from .graph import CausalGraph, GraphError
+from .functional import notation
+from .graph import CausalGraph, GraphError, _names
 
 
 class DistributionError(ValueError):
@@ -42,15 +43,7 @@ class InputDistribution:
         return self.a | self.b | self.c
 
     def render(self) -> str:
-        parts = [",".join(sorted(self.a))]
-        tail = []
-        if self.b:
-            tail.append(f"do({','.join(sorted(self.b))})")
-        if self.c:
-            tail.append(",".join(sorted(self.c)))
-        if tail:
-            return f"p({parts[0]} | {','.join(tail)})"
-        return f"p({parts[0]})"
+        return notation(sorted(self.a), sorted(self.b), sorted(self.c), " | ")
 
     def __repr__(self):
         return self.render()
@@ -72,9 +65,7 @@ class Query:
             raise DistributionError("outcome and intervention sets must be disjoint")
 
     def render(self) -> str:
-        if self.x:
-            return f"p({','.join(sorted(self.y))} | do({','.join(sorted(self.x))}))"
-        return f"p({','.join(sorted(self.y))})"
+        return notation(sorted(self.y), sorted(self.x), (), " | ")
 
     def __repr__(self):
         return self.render()
@@ -84,10 +75,6 @@ _P_RE = re.compile(r"^\s*p\s*\((.*)\)\s*$", re.S)
 _DO_RE = re.compile(r"do\s*\(([^()]*)\)")
 
 
-def _split_names(text: str):
-    return [t for t in re.split(r"[,\s]+", text.strip()) if t]
-
-
 def parse_distribution(text: str) -> InputDistribution:
     """Parse ``p(a,b | do(c), d)``; the do-group is optional."""
     m = _P_RE.match(text)
@@ -95,23 +82,14 @@ def parse_distribution(text: str) -> InputDistribution:
         raise DistributionError(f"cannot parse distribution {text!r}")
     body = m.group(1)
     head, _, cond = body.partition("|")
-    a = _split_names(head)
-    b = []
-    c = []
-    if cond.strip():
-        dos = _DO_RE.findall(cond)
-        if len(dos) > 1:
-            raise DistributionError("at most one do(...) group allowed")
-        if dos:
-            b = _split_names(dos[0])
-        rest = _DO_RE.sub("", cond)
-        c = _split_names(rest)
+    dos = _DO_RE.findall(cond)
+    if len(dos) > 1:
+        raise DistributionError("at most one do(...) group allowed")
+    a = _names(head, DistributionError)
     if not a:
         raise DistributionError(f"empty measured set in {text!r}")
-    # a parenthesis left in a name is a nested or unbalanced group, which
-    # render would write back as a different distribution
-    if any("(" in v or ")" in v for v in a + b + c):
-        raise DistributionError(f"unbalanced parentheses in {text!r}")
+    b = _names(dos[0] if dos else "", DistributionError)
+    c = _names(_DO_RE.sub("", cond), DistributionError)
     return InputDistribution(frozenset(a), frozenset(b), frozenset(c))
 
 
@@ -204,8 +182,10 @@ def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInp
     the input is kept as it is; otherwise one slot (a, b or c) must hold
     them all, among them every emitter, and they become ``t_name`` there.
     Inputs that split the cluster across slots, or see only part of the
-    emitter set, are incompatible. A latent emitter rules out clustering the
-    inputs entirely, and so does no input mentioning the cluster.
+    emitter set, are incompatible; so is a c-slot input of a cluster with no
+    emitter, whose members inform the outside through the receivers. A
+    latent emitter rules out clustering the inputs entirely, and so does no
+    input mentioning the cluster.
     """
     t = frozenset(t_members)
     emitters = g.names_of(_require_cluster(g, t)[2])
@@ -223,7 +203,7 @@ def cluster_inputs(inputs, t_members, t_name: str, g: CausalGraph) -> ClusterInp
         if mentioned:
             parts = {"a": dist.a, "b": dist.b, "c": dist.c}
             slot = next((s for s, vals in parts.items() if mentioned <= vals), "")
-            if not slot or not emitters <= mentioned:
+            if not slot or not emitters <= mentioned or slot == "c" and not emitters:
                 return ClusterInputsResult(
                     False,
                     reason=f"input {i} ({dist.render()}) satisfies none of the "

@@ -10,7 +10,8 @@ from derivation backtracking share subterms, so traversals memoize by node
 identity. ``transform`` is the one memoized bottom-up walker over these
 trees; every bottom-up computation, the lifts and numeric evaluation in
 ``scm`` included, is a callback on it. Only ``render``, whose primes depend
-on the enclosing scope, and ``from_json`` walk on their own.
+on the enclosing scope, and ``from_json`` walk on their own. ``notation`` is
+the one writer of ``p(a | do(b), c)``, for ``render`` and the input types.
 """
 
 from __future__ import annotations
@@ -152,17 +153,15 @@ def _canonical(node, kids):
     raise TypeError(f"not a functional node: {node!r}")
 
 
-def _render_ref(node: InputRef, names) -> str:
-    def fmt(vals):
-        return ",".join(names.get(v, v) for v in sorted(vals))
-
-    head = fmt(node.a)
-    tail = []
-    if node.b:
-        tail.append(f"do({fmt(node.b)})")
-    if node.c:
-        tail.append(fmt(node.c))
-    return f"p({head}|{','.join(tail)})" if tail else f"p({head})"
+def notation(a, b, c, bar: str) -> str:
+    """``p(a<bar>do(b),c)`` from id lists already in order, leaving out empty b and c."""
+    head = ",".join(a)
+    if not b and not c:
+        return f"p({head})"
+    tail = ",".join(c)
+    if b:
+        tail = f"do({','.join(b)}),{tail}" if c else f"do({','.join(b)})"
+    return f"p({head}{bar}{tail})"
 
 
 def render(node, _names=None, _used=None) -> str:
@@ -171,7 +170,8 @@ def render(node, _names=None, _used=None) -> str:
         _names = {}
         _used = {str(v) for v in free_variables(node)}
     if isinstance(node, InputRef):
-        return _render_ref(node, _names)
+        a, b, c = ([_names.get(v, v) for v in sorted(vs)] for vs in (node.a, node.b, node.c))
+        return notation(a, b, c, "|")
     if isinstance(node, SumOver):
         names = dict(_names)
         used = set(_used)

@@ -289,64 +289,78 @@ def dsep_masks(par, ch, x: int, y: int, z: int) -> bool:
 # -- parsing and the public graph operations -----------------------------------
 
 
+def _lines(text: str):
+    """``(file line number, content)`` of each line left nonblank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _names(text: str, error=GraphError) -> list:
+    """The ids of a comma- or whitespace-separated list; the one id rule of every text read.
+
+    An id never holds ``|``, ``(`` or ``)``, so ``p(v)`` names the vertex ``v``.
+    """
+    names = text.replace(",", " ").split()
+    for v in names:
+        if "|" in v or "(" in v or ")" in v:
+            raise error(f"{v!r} is not a vertex id")
+    return names
+
+
 def parse_graph(text: str) -> CausalGraph:
     """Parse the line-oriented graph format.
 
     ``A -> B`` adds a directed edge, ``A <-> B`` is sugar for a fresh latent
     with children A and B, ``latent U : A B C`` declares an explicit latent,
-    ``#`` starts a comment. Blank lines are skipped.
+    ``#`` starts a comment. Blank lines are skipped. Every id follows the
+    rule of ``_names``, and an endpoint or a latent name is exactly one id.
     """
+    return _graph_of_lines(_lines(text))
+
+
+def _graph_of_lines(lines) -> CausalGraph:
+    """The graph of the ``(line number, content)`` pairs of ``_lines``."""
     observed = set()
     edges = []
     latent_children = {}
     bidirected = []
-    used_names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("latent"):
-            body = line[len("latent"):].strip()
-            if ":" not in body:
-                raise GraphError(f"line {lineno}: expected 'latent NAME : children'")
-            name, _, kids = body.partition(":")
-            name = name.strip()
-            children = kids.replace(",", " ").split()
-            if not name:
-                raise GraphError(f"line {lineno}: latent needs a name")
-            if name in latent_children:
-                raise GraphError(f"duplicate vertex id: {name}")
-            if len(set(children)) < 2:
-                raise GraphError(f"line {lineno}: latent {name} has fewer than two children")
-            latent_children[name] = children
-            observed.update(children)
-            used_names.add(name)
-            used_names.update(children)
-        elif "<->" in line:
-            lhs, _, rhs = line.partition("<->")
-            a, b = lhs.strip(), rhs.strip()
-            if not a or not b or " " in a or " " in b:
-                raise GraphError(f"line {lineno}: malformed bidirected edge")
-            bidirected.append((a, b))
-            observed.update((a, b))
-            used_names.update((a, b))
-        elif "->" in line:
-            lhs, _, rhs = line.partition("->")
-            a, b = lhs.strip(), rhs.strip()
-            if not a or not b or " " in a or " " in b:
-                raise GraphError(f"line {lineno}: malformed edge")
-            edges.append((a, b))
-            observed.update((a, b))
-            used_names.update((a, b))
-        else:
-            raise GraphError(f"line {lineno}: cannot parse {line!r}")
+    for lineno, line in lines:
+        try:
+            if line.startswith("latent"):
+                name, colon, kids = line[len("latent"):].partition(":")
+                if not colon:
+                    raise GraphError("expected 'latent NAME : children'")
+                names, children = _names(name), _names(kids)
+                if len(names) != 1:
+                    raise GraphError("latent needs a name")
+                name = names[0]
+                if name in latent_children:
+                    raise GraphError(f"duplicate vertex id: {name}")
+                if len(set(children)) < 2:
+                    raise GraphError(f"latent {name} has fewer than two children")
+                latent_children[name] = children
+                observed.update(children)
+                continue
+            arrow = "<->" if "<->" in line else "->"
+            lhs, found, rhs = line.partition(arrow)
+            if not found:
+                raise GraphError(f"cannot parse {line!r}")
+            a, b = _names(lhs), _names(rhs)
+            if len(a) != 1 or len(b) != 1:
+                raise GraphError(f"malformed {'bidirected edge' if arrow == '<->' else 'edge'}")
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
+        (bidirected if arrow == "<->" else edges).append((a[0], b[0]))
+        observed.update((a[0], b[0]))
+    taken = observed | latent_children.keys()
     k = 0
     for a, b in bidirected:
         k += 1
-        while f"U{k}" in used_names:
+        while f"U{k}" in taken:
             k += 1
         latent_children[f"U{k}"] = [a, b]
-        used_names.add(f"U{k}")
     return CausalGraph(observed, edges, latent_children)
 
 

@@ -13,8 +13,9 @@ Three sections, in any order::
     [query]
     p(Y | do(X))
 
-Comments start with ``#``. All vertex ids are case-sensitive and must be
-declared by the graph section.
+Comments start with ``#``. All vertex ids are case-sensitive, follow the id
+rule of ``graph._names`` and must be declared by the graph section. Every
+section is read from ``graph._lines``, so an error on a line names that line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .distributions import (
     parse_query,
     validate_inputs,
 )
-from .graph import CausalGraph, parse_graph
+from .graph import CausalGraph, _graph_of_lines, _lines
 
 
 class ProblemError(ValueError):
@@ -59,10 +60,7 @@ class ProblemFile:
 def parse_problem(text: str) -> ProblemFile:
     sections: dict = {"graph": [], "inputs": [], "query": []}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
             if name not in sections:
@@ -79,21 +77,19 @@ def parse_problem(text: str) -> ProblemFile:
     if len(sections["query"]) != 1:
         raise ProblemError("exactly one query line required")
 
-    graph = parse_graph("\n".join(line for _, line in sections["graph"]))
-    inputs = []
-    for lineno, line in sections["inputs"]:
-        try:
-            inputs.append(parse_distribution(line))
-        except ValueError as exc:
-            raise ProblemError(f"line {lineno}: {exc}") from exc
-    lineno, line = sections["query"][0]
-    try:
-        query = parse_query(line)
-    except ValueError as exc:
-        raise ProblemError(f"line {lineno}: {exc}") from exc
+    graph = _graph_of_lines(sections["graph"])
+    inputs = [_read(parse_distribution, *pair) for pair in sections["inputs"]]
+    query = _read(parse_query, *sections["query"][0])
     inputs = dedup_inputs(inputs)
     validate_inputs(graph, inputs, query)
     return ProblemFile(graph, inputs, query)
+
+
+def _read(parse, lineno: int, line: str):
+    try:
+        return parse(line)
+    except ValueError as exc:
+        raise ProblemError(f"line {lineno}: {exc}") from exc
 
 
 def load_problem(path) -> ProblemFile:

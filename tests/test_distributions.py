@@ -5,10 +5,13 @@ import pytest
 
 from dofuse import (
     InputDistribution,
+    SearchBudget,
     cluster_inputs,
     parse_distribution,
+    parse_graph,
     parse_query,
     restrict_inputs,
+    run_pipeline,
 )
 from dofuse.distributions import DistributionError, dedup_inputs
 
@@ -137,6 +140,21 @@ def test_cluster_inputs_partial_emitters_rejected():
     inputs = (parse_distribution("p(E1, X)"),)
     res = cluster_inputs(inputs, fx.CLUSTER_S, "S", fx.CLUSTER_GRAPH)
     assert not res.compatible
+
+
+def test_cluster_inputs_sink_cluster_refuses_conditioning():
+    # {V1, V3} has no emitter: p(V5 | V3) conditions on V3, which informs V5
+    # through V0, while p(V5 | T) would hold p(V5); clustered, the query
+    # p(V5 | do(V2)) = p(V5) was identified though the original is not
+    g = parse_graph("V0 -> V1\nV0 -> V4\nV0 -> V5\nV1 -> V3\nV4 -> V2")
+    measured = (parse_distribution("p(V0,V1)"), parse_distribution("p(V5 | do(V3))"))
+    assert cluster_inputs(measured, {"V1", "V3"}, "T", g).compatible
+    conditioned = (parse_distribution("p(V0,V1)"), parse_distribution("p(V5 | V3)"))
+    res = cluster_inputs(conditioned, {"V1", "V3"}, "T", g)
+    assert not res.compatible
+    assert (res.failing_input, res.failing_condition) == (1, "none")
+    query = parse_query("p(V5 | do(V2))")
+    assert run_pipeline(g, conditioned, query, SearchBudget(3000, 25)).status == "non_identifiable"
 
 
 def test_cluster_inputs_requires_some_presence():

@@ -1,6 +1,7 @@
 """Parser properties: a text is either refused with a declared error or it
-round-trips through ``render``, and the CLI turns every refusal into exit
-code 1 with an ``error:`` line.
+round-trips through ``render``, the graph parser and the distribution parser
+follow one id rule, and the CLI turns every refusal into exit code 1 with an
+``error:`` line.
 
 The texts are drawn from the parsers' own tokens (names, ``p(``, ``do(``,
 ``|``, ``->``, section headers) mixed with arbitrary characters, so most
@@ -14,14 +15,15 @@ import warnings
 
 from hypothesis import given, settings, strategies as st
 
-from dofuse import GraphError, parse_distribution
+from dofuse import GraphError, Query, parse_distribution, parse_graph
 from dofuse.cli import main
 from dofuse.distributions import DistributionError
-from dofuse.problem import ProblemError, parse_problem
+from dofuse.problem import ProblemError, ProblemFile, parse_problem
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
-NAMES = st.sampled_from(["A", "B", "X", "Y", "Z1", "U1", "do", "p", "latent", "x|y", "a(b"])
+TOKENS = ["A", "B", "X", "Y", "Z1", "U1", "do", "p", "latent", "x|y", "a(b"]
+NAMES = st.sampled_from(TOKENS)
 NOISE = st.text(alphabet="pdo(),| \t:#[]-><AXY1", max_size=12)
 
 
@@ -42,19 +44,34 @@ def distribution_texts(draw, names=NAMES):
     return _splice_noise(draw, f"p({head} | {', '.join(tail)})" if tail else f"p({head})")
 
 
-@st.composite
-def problem_texts(draw):
-    # a small vertex pool shared by the sections, so that many texts parse
-    names = st.sampled_from(draw(st.lists(NAMES, min_size=2, max_size=5, unique=True)))
-    pairs = st.lists(names, min_size=2, max_size=3, unique=True)
-    graph_lines = st.one_of(
+def _pairs(names):
+    return st.lists(names, min_size=2, max_size=3, unique=True)
+
+
+def _graph_lines(names):
+    pairs = _pairs(names)
+    return st.one_of(
         pairs.map(lambda vs: f"{vs[0]} -> {vs[1]}"),
         pairs.map(lambda vs: f"{vs[0]} <-> {vs[1]}"),
         pairs.map(lambda vs: f"latent L{len(vs)} : {' '.join(vs)}"),
     )
-    query = pairs.map(lambda vs: f"p({vs[0]} | do({vs[1]}))")
+
+
+@st.composite
+def graph_texts(draw):
+    # "A,B" is one token that the id rule reads as two ids
+    pool = draw(st.lists(st.sampled_from(TOKENS + ["A,B"]), min_size=2, max_size=5, unique=True))
+    lines = draw(st.lists(_graph_lines(st.sampled_from(pool)), min_size=1, max_size=5))
+    return _splice_noise(draw, "\n".join(lines))
+
+
+@st.composite
+def problem_texts(draw):
+    # a small vertex pool shared by the sections, so that many texts parse
+    names = st.sampled_from(draw(st.lists(NAMES, min_size=2, max_size=5, unique=True)))
+    query = _pairs(names).map(lambda vs: f"p({vs[0]} | do({vs[1]}))")
     sections = [
-        ["[graph]"] + draw(st.lists(graph_lines, min_size=1, max_size=5)),
+        ["[graph]"] + draw(st.lists(_graph_lines(names), min_size=1, max_size=5)),
         ["[inputs]"] + draw(st.lists(distribution_texts(names), min_size=1, max_size=3)),
         ["[query]", draw(query)],
     ]
@@ -76,6 +93,21 @@ def test_parse_distribution_refuses_or_round_trips(text):
     except DistributionError:
         return
     assert parse_distribution(dist.render()) == dist
+
+
+@PROPERTY
+@given(graph_texts())
+def test_parse_graph_ids_are_distribution_ids(text):
+    # one id rule: every vertex the graph parser accepts is the one vertex
+    # that p(v) names, and the graph section render writes parses back
+    try:
+        g = parse_graph(text)
+    except GraphError:
+        return
+    for v in g.observed:
+        assert parse_distribution(f"p({v})").a == {v}
+    rendered = ProblemFile(g, (), Query({"Y"})).render()
+    assert parse_graph(rendered.split("\n\n", 1)[0].removeprefix("[graph]")) == g
 
 
 @PROPERTY

@@ -170,6 +170,27 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_graph_error_names_the_file_line(tmp_path, capsys):
+    # the comment and the blank line count: the bad line is file line 5
+    text = "# a comment\n[graph]\n\nX -> Y\nZ => Y\n[inputs]\np(X)\n[query]\np(Y | do(X))\n"
+    assert main(["prune", "-f", _write(tmp_path, text)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 5: cannot parse 'Z => Y'")
+
+
+@pytest.mark.parametrize("command", ["identify", "invariance"])
+@pytest.mark.parametrize("spec", [" =M1,M2", "T 2=M1,M2"])
+def test_cli_refuses_cluster_name_that_is_not_one_id(tmp_path, capsys, command, spec):
+    text = problem_text(
+        fx.ATHERO_REFINED_M,
+        [fx_parse("p(B,M1,M2,S,Y)"), fx_parse("p(B,H,M1,M2,S)")],
+        fx_query("p(Y|do(H))"),
+    )
+    assert main([command, "-f", _write(tmp_path, text), "--cluster", spec]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"argument --cluster: expected NAME=v1,v2,... got {spec!r}" in captured.err
+
+
 def test_cli_overlapping_clusters_refused(tmp_path, capsys):
     text = problem_text(
         fx.CLUSTER_GRAPH,

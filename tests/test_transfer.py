@@ -9,12 +9,13 @@ An unclustered search that hits its budget is consistent with both. A
 counterexample to (a) that exhausts is a completeness gap in the move set;
 one to (b) is a fault in ``verify_inputs`` or in the search's soundness.
 Both are checked on the campaign generator, which draws no latents, and on
-random connected graphs with latents.
+random connected graphs with latents; the ``slow`` tests widen both windows.
 """
 
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from dofuse import InputDistribution, Query, SearchBudget, identify, run_pipeline
 from dofuse.identify import EXHAUSTED, IDENTIFIED
@@ -25,9 +26,9 @@ from dofuse.simulate import SIM_BUDGET, generate_instance
 import oracles
 
 
-def test_transfer_on_campaign_instances():
+def _campaign_outcomes(seeds):
     outcomes = Counter()
-    for seed in range(40):
+    for seed in seeds:
         inst = generate_instance(seed)
         members = frozenset(inst.cluster_members)
         ac = _cluster(inst.graph, inst.inputs, members, inst.cluster_vertex)
@@ -41,8 +42,20 @@ def test_transfer_on_campaign_instances():
         else:
             assert unclustered != IDENTIFIED, seed
         outcomes[verdict, unclustered] += 1
+    return outcomes
+
+
+def test_transfer_on_campaign_instances():
+    outcomes = _campaign_outcomes(range(40))
     # both transfers are exercised, and (b) at least once against a search
     # that ran to the end
+    assert outcomes[IDENTIFIABLE, IDENTIFIED]
+    assert outcomes[NON_IDENTIFIABLE, EXHAUSTED]
+
+
+@pytest.mark.slow
+def test_transfer_on_more_campaign_instances():
+    outcomes = _campaign_outcomes(range(40, 300))
     assert outcomes[IDENTIFIABLE, IDENTIFIED]
     assert outcomes[NON_IDENTIFIABLE, EXHAUSTED]
 
@@ -63,10 +76,9 @@ def _random_problem(rng):
     return g, inputs, Query({str(y)}, {str(x)})
 
 
-def test_transfer_on_random_graphs_with_latents():
-    rng = np.random.default_rng(41)
+def _random_outcomes(rng, n):
     outcomes = Counter()
-    for _ in range(300):
+    for _ in range(n):
         g, inputs, query = _random_problem(rng)
         clustered = run_pipeline(g, inputs, query, SearchBudget(3000, 25))
         if not clustered.clusters or not clustered.decided:
@@ -77,5 +89,18 @@ def test_transfer_on_random_graphs_with_latents():
         else:
             assert plain.status != IDENTIFIED, (g, inputs, query)
         outcomes[clustered.status, plain.status] += 1
+    return outcomes
+
+
+def test_transfer_on_random_graphs_with_latents():
+    outcomes = _random_outcomes(np.random.default_rng(41), 300)
+    assert outcomes[IDENTIFIED, IDENTIFIED]
+    assert outcomes["non_identifiable", "non_identifiable"]
+
+
+@pytest.mark.slow
+def test_transfer_on_more_random_graphs_with_latents():
+    # a stream of its own, so that no graph of the 300 above is drawn again
+    outcomes = _random_outcomes(np.random.default_rng(42), 1500)
     assert outcomes[IDENTIFIED, IDENTIFIED]
     assert outcomes["non_identifiable", "non_identifiable"]
