@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -25,7 +26,8 @@ from dofuse.clustering import apply_cluster
 from dofuse.functional import InputRef, Product, SumOver, free_variables, to_json, from_json
 from dofuse.graph import _iter_bits, edge_cut
 from dofuse.identify import _Engine
-from dofuse.pipeline import run_pipeline
+from dofuse.pipeline import _cluster, run_pipeline
+from dofuse.simulate import SIM_BUDGET, generate_instance
 
 import oracles
 import fixtures as fx
@@ -363,3 +365,125 @@ def test_one_walk_per_frontier_key(monkeypatch):
         assert len(set(full)) == len(full) <= result.search.terms
         assert all(stop & (stop - 1) for *_, stop in whole_b)
         assert len(walks) <= len(full) + len(whole_b) < 1.1 * result.search.terms
+
+
+# seed   unclustered search      clustered search: status, terms, depth
+_CAMPAIGN_SEARCHES = """
+   0   identified  2072  6   identified   599  6
+   1   identified  5705  8   identified  1691  8
+   2   exhausted   2511  8   exhausted    585  7
+   3   capped     12001  7   exhausted   2978  8
+   4   identified  9450  8   identified   961  7
+   5   exhausted     20  3   exhausted      8  2
+   6   exhausted    353  7   exhausted    177  6
+   7   identified  5913  6   identified   546  5
+   8   exhausted    584  6   exhausted     54  4
+   9   exhausted   4692  7   exhausted   1714  7
+  10   exhausted   5279 13   exhausted   2433 13
+  11   exhausted    186  6   exhausted    186  6
+  12   identified   374  4   identified    59  3
+  13   identified  1387  5   identified   179  4
+  14   capped     12001  9   exhausted   1100  9
+  15   exhausted   3329  9   exhausted   1147  8
+  16   capped     12001  6   capped     12001  9
+  17   exhausted    634  8   exhausted    262  8
+  18   capped     12001  6   identified   457  4
+  19   capped     12001  6   exhausted   1514  8
+  20   identified  3140  6   identified    55  3
+  21   capped     12001  7   exhausted   1300 10
+  22   capped     12001  7   identified  4368  8
+  23   exhausted   2484  8   exhausted   1046  7
+  24   capped     12001  6   exhausted   3646 12
+  25   capped     12001  7   exhausted   1674  8
+  26   exhausted    321  7   exhausted     41  5
+  27   capped     12001  7   identified  7909  9
+  28   exhausted    340  6   exhausted     42  4
+  29   capped     12001  7   exhausted   6079  9
+  30   exhausted   1588  9   exhausted    360  7
+  31   identified   668  5   identified   111  4
+  32   capped     12001  9   exhausted   2128 12
+  33   capped     12001  6   exhausted   2740  9
+  34   exhausted   3103  9   exhausted    691  7
+  35   exhausted   4004  9   exhausted    158  5
+  36   exhausted   1325  7   exhausted    269  6
+  37   exhausted    927  5   exhausted    195  4
+  38   identified   810  4   identified   105  3
+  39   capped     12001  6   exhausted   2137  9
+"""
+_CAMPAIGN_RENDERS = "c2abd7fdb1aee46225c66b324672cd5392c1e2a5ad0f169b57a8acc3e8426295"
+_STATUS = {
+    "identified": "identified",
+    "exhausted_not_identified": "exhausted",
+    "budget_exceeded": "capped",
+}
+
+
+def test_campaign_search_order_pinned():
+    """Both SIM_BUDGET searches of campaign seeds 0-39, as the campaign runs them.
+
+    Term counts and depths pin the order in which the search adds terms: a
+    capped search stops at exactly the 12,001st. The sha256 of the renders,
+    one line per search and empty when not identified, pins the derivations.
+    """
+    rows, renders = [], []
+    for seed in range(40):
+        inst = generate_instance(seed)
+        ac = _cluster(inst.graph, inst.inputs, frozenset(inst.cluster_members), inst.cluster_vertex)
+        cells = []
+        for g, inputs in ((inst.graph, inst.inputs), (ac.graph_after, ac.inputs_after)):
+            r = identify(g, inputs, inst.query, SIM_BUDGET)
+            cells.append(f"{_STATUS[r.status]:<10} {r.terms:>5} {r.depth:>2}")
+            renders.append(render(r.functional) if r.identified else "")
+        rows.append(f"{seed:>4}   " + "   ".join(cells))
+    assert rows == _CAMPAIGN_SEARCHES.strip("\n").split("\n")
+    assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == _CAMPAIGN_RENDERS
+
+
+def test_packed_key_layout():
+    """Every key (a, b, c) over m <= 3 observed vertices packed as a << 2m | b << m | c.
+
+    Packing round-trips, sorts like the triples, and each move of the search
+    is one int expression on the packed key.
+    """
+    for m in range(4):
+        low = (1 << 2 * m) - 1
+        full = (1 << m) - 1
+
+        def pack(a, b, c):
+            return a << 2 * m | b << m | c
+
+        triples = [(a, b, c) for a in range(1 << m) for b in range(1 << m) for c in range(1 << m)]
+        for a, b, c in triples:
+            key = pack(a, b, c)
+            assert (key >> 2 * m, key >> m & full, key & full) == (a, b, c)
+        assert [pack(*t) for t in sorted(triples)] == sorted(pack(*t) for t in triples)
+        for a, b, c in triples:
+            if a & b or a & c or b & c:
+                continue
+            key = pack(a, b, c)
+            assert key & low == pack(0, b, c)
+            assert key & low | a == pack(0, b, a | c)
+            for z in range(1, 1 << m):
+                if z & a == z:
+                    assert key ^ z << 2 * m == pack(a ^ z, b, c)
+                    assert key ^ z << 2 * m ^ z == pack(a ^ z, b, c | z)
+                if z & c == z:
+                    assert key ^ z == pack(a, b, c & ~z)
+                    assert key ^ (z << m | z) == pack(a, b | z, c & ~z)
+                if z & b == z:
+                    assert key ^ (z << m | z) == pack(a, b & ~z, c | z)
+                    assert key ^ z << m == pack(a, b & ~z, c)
+                if not z & (a | b | c):
+                    assert key | z == pack(a, b, c | z)
+                    assert key | z << m == pack(a, b | z, c)
+                # chain: p(a | b, c) p(z | b, c - z), found under key & low
+                # in by_bac, and p(z | b, a | c) p(a | b, c), found under
+                # key & low | a in by_bc
+                if z & c == z:
+                    t2 = pack(z, b, c & ~z)
+                    assert t2 & low | z == key & low
+                    assert t2 | a << 2 * m == pack(a | z, b, c & ~z)
+                if not z & (a | b | c):
+                    t1 = pack(z, b, a | c)
+                    assert t1 & low == key & low | a
+                    assert key | t1 & ~low == pack(a | z, b, c)
