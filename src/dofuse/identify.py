@@ -5,11 +5,13 @@ p(A | do(B), C) by single-variable marginalization and conditioning, chain
 composition of two compatible terms, and the three do-calculus rules guarded
 by d-separation in the appropriate edge-cut graphs. Rule moves try the
 maximal applicable variable set first, then singletons, and one walk per
-expanded term decides their guards. Terms are
-deduplicated on a canonical key (sorted variable sets), expanded breadth
-first by derivation depth with lexicographic tie-breaking, so identical
-problems always yield identical functionals and enlarging the budget never
-flips an identified verdict.
+expanded term decides their guards. A term's key is one int,
+``a << 2m | b << m | c`` for the observed-vertex masks a, b and c over
+m = ``g.n_observed`` vertices, which sorts like the triple (a, b, c) and
+turns every move into int arithmetic. Terms are deduplicated on that key,
+expanded breadth first by derivation depth with ties broken by key order, so
+identical problems always yield identical functionals and enlarging the
+budget never flips an identified verdict.
 
 A term's derivation edge is stored at first discovery; reaching the query
 key backtracks the edges into a ``Functional`` expression tree. Exhausting
@@ -70,7 +72,11 @@ class _Engine:
     ``guards`` decides every singleton guard of a key from one walk (see
     ``identify``); ``dsep`` is the one remaining per-candidate test, for
     deleting the whole of b by rule 3. Walks are not memoized: each key is
-    expanded once.
+    expanded once. ``guards`` forms no input that cannot change its result:
+    with b empty the rule 2 b -> c and rule 3 deletion pools are empty, so
+    ``hit`` and ``an`` are skipped, and ``an`` only removes members of
+    ``b - seen`` that are in ``hit``, so it is looked up only when there are
+    some.
     """
 
     __slots__ = ("base_par", "base_ch", "_cuts", "_an")
@@ -106,16 +112,13 @@ class _Engine:
         bc = b | c
         up, down = reach(*self.cut(b, 0), a, bc)
         seen = up | down
-        an = self.ancestors(b, c)
-        hit = _union(self.base_ch, seen & ~bc) if b else 0
-        return (
-            c & ~seen,
-            free & ~seen,
-            b & ~hit,
-            c & ~down,
-            b & ~(seen | (an & hit)),
-            free & ~up,
-        )
+        if not b:
+            return c & ~seen, free & ~seen, 0, c & ~down, 0, free & ~up
+        hit = _union(self.base_ch, seen & ~bc)
+        r3del = b & ~seen
+        if r3del & hit:
+            r3del &= ~(self.ancestors(b, c) & hit)
+        return c & ~seen, free & ~seen, b & ~hit, c & ~down, r3del, free & ~up
 
     def dsep(self, cin: int, cout: int, x: int, y: int, z: int) -> bool:
         """Whether z d-separates x from y in the cut graph; the walk stops at y."""
@@ -160,18 +163,25 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
     validate_inputs(g, inputs, query)
     eng = _Engine(g)
     mask = g.mask_of
+    m = g.n_observed
+    m2 = 2 * m
+    low = (1 << m2) - 1  # the (b, c) part of a key
 
-    goal = (mask(query.y), mask(query.x), 0)
+    def pack(a, b, c) -> int:
+        return mask(a) << m2 | mask(b) << m | mask(c)
+
+    goal = pack(query.y, query.x, ())
     store: dict = {}
-    by_bc: dict = {}
-    by_bac: dict = {}
+    by_bc: dict = {}  # key & low: the keys with that (b, c)
+    by_bac: dict = {}  # key & low | a: the keys with that (b, a | c)
 
     def add(key, deriv) -> bool:
         if key in store:
             return False
         store[key] = deriv
-        by_bc.setdefault((key[1], key[2]), []).append(key)
-        by_bac.setdefault((key[1], key[0] | key[2]), []).append(key)
+        bc = key & low
+        by_bc.setdefault(bc, []).append(key)
+        by_bac.setdefault(bc | key >> m2, []).append(key)
         return True
 
     def finish(depth):
@@ -180,7 +190,7 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
         return IdentifyResult(IDENTIFIED, f, len(store), depth)
 
     for i, dist in enumerate(inputs):
-        add((mask(dist.a), mask(dist.b), mask(dist.c)), ("input", i))
+        add(pack(dist.a, dist.b, dist.c), ("input", i))
 
     if goal in store:
         return finish(0)
@@ -192,65 +202,79 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
         if depth >= budget.max_depth:
             return IdentifyResult(BUDGET_EXCEEDED, None, len(store), depth)
         frontier, layer = sorted(layer), []
+        nd = depth + 1
         for key in frontier:
-            a, b, c = key
-            nd = depth + 1
+            a, b, c = key >> m2, key >> m & obs, key & obs
             derived = []
             emit = derived.append
 
             # a move is built only when its target is not stored yet: add
             # would drop a stored target anyway
             if a & (a - 1):
-                for v in _iter_bits(a):
-                    vb = 1 << v
-                    t = (a ^ vb, b, c)
+                rest = a
+                while rest:
+                    vb = rest & -rest
+                    rest ^= vb
+                    t = key ^ vb << m2
                     if t not in store:
                         emit((t, ("marg", vb, key)))
-                    t = (a ^ vb, b, c | vb)
+                    t ^= vb
                     if t not in store:
                         emit((t, ("cond", vb, key)))
 
             free = obs & ~(a | b | c)
             r1del, r1ins, r2bc, r2cb, r3del, r3ins = eng.guards(a, b, c, free)
             # rule 1: delete then insert observations
-            for z in _passing(r1del, r1del == c):
-                t = (a, b, c & ~z)
-                if t not in store:
-                    emit((t, ("pin", z, key)))
-            for z in _passing(r1ins, r1ins == free):
-                t = (a, b, c | z)
-                if t not in store:
-                    emit((t, ("rule", key)))
+            if r1del:
+                for z in _passing(r1del, r1del == c):
+                    t = key ^ z
+                    if t not in store:
+                        emit((t, ("pin", z, key)))
+            if r1ins:
+                for z in _passing(r1ins, r1ins == free):
+                    t = key | z
+                    if t not in store:
+                        emit((t, ("rule", key)))
             # rule 2: exchange actions and observations, both directions
-            for z in _passing(r2bc, r2bc == b):
-                t = (a, b & ~z, c | z)
-                if t not in store:
-                    emit((t, ("rule", key)))
-            for z in _passing(r2cb, r2cb == c):
-                t = (a, b | z, c & ~z)
-                if t not in store:
-                    emit((t, ("rule", key)))
+            if r2bc:
+                for z in _passing(r2bc, r2bc == b):
+                    t = key ^ (z << m | z)
+                    if t not in store:
+                        emit((t, ("rule", key)))
+            if r2cb:
+                for z in _passing(r2cb, r2cb == c):
+                    t = key ^ (z << m | z)
+                    if t not in store:
+                        emit((t, ("rule", key)))
             # rule 3: delete then insert actions; passing singletons are only
             # necessary for deleting the whole of b, which gets its own walk
-            for z in _passing(r3del, r3del == b):
-                t = (a, b & ~z, c)
-                if t not in store and (
-                    not z & (z - 1) or eng.dsep(b & ~eng.ancestors(0, c), 0, a, b, c)
-                ):
-                    emit((t, ("pin", z, key)))
-            for z in _passing(r3ins, r3ins == free):
-                t = (a, b | z, c)
-                if t not in store:
-                    emit((t, ("rule", key)))
-            # chain composition with every stored partner
-            for t2 in sorted(by_bac.get((b, c), ())):
-                t = (a | t2[0], b, t2[2])
-                if t2 != key and t not in store:
-                    emit((t, ("prod", key, t2)))
-            for t1 in sorted(by_bc.get((b, a | c), ())):
-                t = (t1[0] | a, b, c)
-                if t not in store:
-                    emit((t, ("prod", t1, key)))
+            if r3del:
+                for z in _passing(r3del, r3del == b):
+                    t = key ^ z << m
+                    if t not in store and (
+                        not z & (z - 1) or eng.dsep(b & ~eng.ancestors(0, c), 0, a, b, c)
+                    ):
+                        emit((t, ("pin", z, key)))
+            if r3ins:
+                for z in _passing(r3ins, r3ins == free):
+                    t = key | z << m
+                    if t not in store:
+                        emit((t, ("rule", key)))
+            # chain composition with every stored partner; a is never empty,
+            # so the key is not its own partner
+            bc = key & low
+            partners = by_bac.get(bc)
+            if partners:
+                for t2 in sorted(partners):
+                    t = t2 | a << m2
+                    if t not in store:
+                        emit((t, ("prod", key, t2)))
+            partners = by_bc.get(bc | a)
+            if partners:
+                for t1 in sorted(partners):
+                    t = key | t1 & ~low
+                    if t not in store:
+                        emit((t, ("prod", t1, key)))
 
             for new_key, deriv in derived:
                 if add(new_key, deriv):
@@ -283,7 +307,7 @@ def _build(key, store, inputs, g: CausalGraph, memo=None):
     elif kind == "cond":
         vb, parent = deriv[1], deriv[2]
         f = _build(parent, store, inputs, g, memo)
-        rest = parent[0] & ~vb
+        rest = parent >> 2 * g.n_observed & ~vb
         out = Quotient(f, SumOver(tuple(sorted(g.names_of(rest))), f))
     elif kind == "rule":
         out = _build(deriv[1], store, inputs, g, memo)
