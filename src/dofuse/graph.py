@@ -300,11 +300,13 @@ def _lines(text: str):
 def _names(text: str, error=GraphError) -> list:
     """The ids of a comma- or whitespace-separated list; the one id rule of every text read.
 
-    An id never holds ``|``, ``(`` or ``)``, so ``p(v)`` names the vertex ``v``.
+    An id never holds ``|``, ``(`` or ``)``, so ``p(v)`` names the vertex ``v``;
+    it never holds ``->`` and is not ``latent``, so an edge line parses the
+    same with the id at either end.
     """
     names = text.replace(",", " ").split()
     for v in names:
-        if "|" in v or "(" in v or ")" in v:
+        if "|" in v or "(" in v or ")" in v or "->" in v or v == "latent":
             raise error(f"{v!r} is not a vertex id")
     return names
 
@@ -328,7 +330,7 @@ def _graph_of_lines(lines) -> CausalGraph:
     bidirected = []
     for lineno, line in lines:
         try:
-            if line.startswith("latent"):
+            if line.split(None, 1)[0] == "latent":
                 name, colon, kids = line[len("latent"):].partition(":")
                 if not colon:
                     raise GraphError("expected 'latent NAME : children'")

@@ -46,6 +46,11 @@ def test_parse_rejects_bad_forms():
     # read as names, a nested group would render as a different input
     with pytest.raises(DistributionError):
         parse_distribution("p(A | do(B,a(b,X,do))")
+    # an id that holds an arrow or is the latent keyword reads differently
+    # at the two ends of an edge line, so no text accepts it
+    for text in ("p(A->B)", "p(latent)", "p(Y | do(latent))"):
+        with pytest.raises(DistributionError):
+            parse_distribution(text)
 
 
 def test_parse_query():

@@ -13,9 +13,9 @@ import contextlib
 import io
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dofuse import GraphError, Query, parse_distribution, parse_graph
+from dofuse import CausalGraph, GraphError, Query, parse_distribution, parse_graph
 from dofuse.cli import main
 from dofuse.distributions import DistributionError
 from dofuse.problem import ProblemError, ProblemFile, parse_problem
@@ -108,6 +108,21 @@ def test_parse_graph_ids_are_distribution_ids(text):
         assert parse_distribution(f"p({v})").a == {v}
     rendered = ProblemFile(g, (), Query({"Y"})).render()
     assert parse_graph(rendered.split("\n\n", 1)[0].removeprefix("[graph]")) == g
+
+
+@PROPERTY
+@given(st.one_of(NAMES, st.sampled_from(["latentA", "A->B", "->", "latent:"]), NOISE))
+@example("latentA")
+@example("A->B")
+def test_edge_target_ids_are_edge_sources(name):
+    # an id read at the head of an edge reads the same at its tail, so a
+    # rendered edge never starts with a word the parser takes for a keyword
+    try:
+        g = parse_graph(f"Q -> {name}")
+    except GraphError:
+        return
+    (v,) = g.observed - {"Q"}
+    assert parse_graph(f"{v} -> Q") == CausalGraph({v, "Q"}, [(v, "Q")])
 
 
 @PROPERTY
