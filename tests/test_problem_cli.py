@@ -1,8 +1,11 @@
 import json
+from itertools import count
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dofuse import GraphError, ProblemFile, parse_problem, run_pipeline
+from dofuse import GraphError, ProblemFile, parse_problem, run_pipeline, simulate
 from dofuse.cli import main
 from dofuse.problem import ProblemError
 
@@ -313,3 +316,124 @@ def test_cli_json_and_human_agree(tmp_path, capsys):
     human = capsys.readouterr().out
     assert f"status: {machine['status']}" in human
     assert machine["functional_text"] in human
+
+
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "bench" / "problems"
+
+CLUSTER_III_CLUSTERS = """\
+{E1, E2, R, S1, S2, T1, T2, W1, W2, X} receivers=[] emitters=['W2']
+{E1, E2, R, S1, S2, T1, T2, W1, X} receivers=[] emitters=['E1', 'E2', 'W1']
+{E1, E2, R, S1, S2, W1, W2, X, Y} receivers=['W1', 'X'] emitters=[]
+{E1, E2, R, S1, S2, W1, W2, X} receivers=['W1', 'X'] emitters=['W2']
+{E1, E2, R, S1, S2, W1, X} receivers=['W1', 'X'] emitters=['E1', 'E2', 'W1']
+{E1, E2, R, S1, S2, X} receivers=['X'] emitters=['E1', 'E2']
+{E1, E2, R, S1, S2} receivers=['R'] emitters=['E1', 'E2']
+{E1, E2, S1, S2} receivers=['S1', 'S2'] emitters=['E1', 'E2']
+{R, X} receivers=['X'] emitters=['R']
+{T1, T2} receivers=[] emitters=['T1', 'T2']
+{W2, Y} receivers=['W2'] emitters=[]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr, code",
+    [
+        (
+            ["prune", "-f", "prune-showcase.txt"],
+            "removed: Z1, Z2, Z3, Z4, Z5, Z6, Z7\n"
+            "  non_ancestors: applied; removed ['Z4', 'Z5']\n"
+            "  post_intervention: applied; removed ['Z1', 'Z2', 'Z3']\n"
+            "  isolated: applied; removed ['Z6', 'Z7']\n"
+            "  post_intervention: applied; removed []\n"
+            "  isolated: applied; removed []\n"
+            "query: p(Y | do(X1,X2))\n"
+            "input: p(Y | do(W1),W2)\n"
+            "input: p(W1 | do(X1,X2),W2)\n"
+            "input: p(W2)\n",
+            "",
+            0,
+        ),
+        (["clusters", "-f", "cluster-iii.txt"], CLUSTER_III_CLUSTERS, "", 0),
+        (
+            ["clusters", "-f", "bow.txt", "--max-size", "1"],
+            "no transit clusters of size >= 2\n",
+            "",
+            0,
+        ),
+        (
+            ["invariance", "-f", "cluster-iii.txt", "--cluster", "T=T1,T2"],
+            "clustered search: exhausted_not_identified\n"
+            "verdict: non_identifiable_in_original (basis: verified_inputs)\n",
+            "",
+            0,
+        ),
+        (
+            ["invariance", "-f", "cluster-ii.txt", "--cluster", "T=T1,T2"],
+            "",
+            "inputs incompatible with cluster: no input contains the emitters of the cluster\n",
+            2,
+        ),
+        (
+            ["identify", "-f", "prune-showcase.txt"],
+            "status: identified\n"
+            "pruned: Z1, Z2, Z3, Z4, Z5, Z6, Z7\n"
+            "p(Y | do(X1,X2)) = sum_{W1} sum_{W2} "
+            "p(Y|do(W1),W2) * p(W1|do(X1,X2),W2) * p(W2)\n",
+            "",
+            0,
+        ),
+        (
+            ["identify", "-f", "cluster-iii.txt"],
+            "status: non_identifiable\n"
+            "clustered T3 = {E1, E2, R, S1, S2}\n"
+            "clustered T4 = {T1, T2}\n"
+            "invariance[T1,T2]: non_identifiable_in_original (verified_inputs)\n"
+            "invariance[E1,E2,R,S1,S2]: non_identifiable_in_original (verified_inputs)\n"
+            "not identifiable by the implemented rule set (certified for the original)\n",
+            "",
+            0,
+        ),
+        (
+            ["identify", "-f", "cluster-ii.txt"],
+            "status: non_identifiable\n"
+            "clustered T3 = {E1, E2, R, S1, S2}\n"
+            "invariance[E1,E2,R,S1,S2]: non_identifiable_in_original (verified_inputs)\n"
+            "not identifiable by the implemented rule set (certified for the original)\n",
+            "",
+            0,
+        ),
+        (
+            ["identify", "-f", "napkin.txt"],
+            "status: undetermined\n"
+            "clustered T1 = {R, W}\n"
+            "invariance[R,W]: undetermined (verify_inputs_false)\n"
+            "undetermined: search negative but invariance not certified\n",
+            "",
+            2,
+        ),
+        (
+            ["simulate", "--instances", "3"],
+            "3 instances, 0 discarded; A=2 B=1 C=0\n"
+            "size 6 setting A: n=1 median diff -0.001s median ratio 0.50\n"
+            "size 7 setting B: n=1 median diff -0.001s median ratio 0.50\n"
+            "size 8 setting A: n=1 median diff -0.001s median ratio 0.50\n",
+            "",
+            0,
+        ),
+    ],
+    ids=lambda v: "-".join(v[:3]) if isinstance(v, list) else None,
+)
+def test_cli_text_output_pinned(monkeypatch, capsys, argv, stdout, stderr, code):
+    """The text form of every subcommand, byte for byte, with its exit code.
+
+    The campaign's clock ticks one millisecond per reading, so its medians
+    are reproducible.
+    """
+    tick = count()
+    monkeypatch.setattr(simulate, "time", SimpleNamespace(perf_counter=lambda: next(tick) / 1000))
+    if "-f" in argv:
+        i = argv.index("-f") + 1
+        argv = argv[:i] + [str(PROBLEMS_DIR / argv[i])] + argv[i + 1:]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, rc) == (stdout, stderr, code)
