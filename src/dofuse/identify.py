@@ -13,8 +13,10 @@ expanded breadth first by derivation depth with ties broken by key order, so
 identical problems always yield identical functionals and enlarging the
 budget never flips an identified verdict.
 
-A term's derivation edge is stored at first discovery; reaching the query
-key backtracks the edges into a ``Functional`` expression tree. Exhausting
+A term's origin is stored at first discovery: its input, its two chain
+factors or the one parent key it was moved from. Reaching the query key
+backtracks these into a ``Functional`` expression tree, and ``_build`` reads
+each one-parent move from the bits that left and entered the key. Exhausting
 the closure without reaching the query is reported as non-identifiable by
 the implemented rule set (do-calculus completeness for the general fusion
 problem is open); hitting the term or depth budget first is reported as
@@ -175,10 +177,10 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
     by_bc: dict = {}  # key & low: the keys with that (b, c)
     by_bac: dict = {}  # key & low | a: the keys with that (b, a | c)
 
-    def add(key, deriv) -> bool:
+    def add(key, src) -> bool:
         if key in store:
             return False
-        store[key] = deriv
+        store[key] = src
         bc = key & low
         by_bc.setdefault(bc, []).append(key)
         by_bac.setdefault(bc | key >> m2, []).append(key)
@@ -190,7 +192,7 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
         return IdentifyResult(IDENTIFIED, f, len(store), depth)
 
     for i, dist in enumerate(inputs):
-        add(pack(dist.a, dist.b, dist.c), ("input", i))
+        add(pack(dist.a, dist.b, dist.c), ~i)
 
     if goal in store:
         return finish(0)
@@ -217,10 +219,10 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                     rest ^= vb
                     t = key ^ vb << m2
                     if t not in store:
-                        emit((t, ("marg", vb, key)))
+                        emit((t, key))
                     t ^= vb
                     if t not in store:
-                        emit((t, ("cond", vb, key)))
+                        emit((t, key))
 
             free = obs & ~(a | b | c)
             r1del, r1ins, r2bc, r2cb, r3del, r3ins = eng.guards(a, b, c, free)
@@ -229,23 +231,23 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                 for z in _passing(r1del, r1del == c):
                     t = key ^ z
                     if t not in store:
-                        emit((t, ("pin", z, key)))
+                        emit((t, key))
             if r1ins:
                 for z in _passing(r1ins, r1ins == free):
                     t = key | z
                     if t not in store:
-                        emit((t, ("rule", key)))
+                        emit((t, key))
             # rule 2: exchange actions and observations, both directions
             if r2bc:
                 for z in _passing(r2bc, r2bc == b):
                     t = key ^ (z << m | z)
                     if t not in store:
-                        emit((t, ("rule", key)))
+                        emit((t, key))
             if r2cb:
                 for z in _passing(r2cb, r2cb == c):
                     t = key ^ (z << m | z)
                     if t not in store:
-                        emit((t, ("rule", key)))
+                        emit((t, key))
             # rule 3: delete then insert actions; passing singletons are only
             # necessary for deleting the whole of b, which gets its own walk
             if r3del:
@@ -254,12 +256,12 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                     if t not in store and (
                         not z & (z - 1) or eng.dsep(b & ~eng.ancestors(0, c), 0, a, b, c)
                     ):
-                        emit((t, ("pin", z, key)))
+                        emit((t, key))
             if r3ins:
                 for z in _passing(r3ins, r3ins == free):
                     t = key | z << m
                     if t not in store:
-                        emit((t, ("rule", key)))
+                        emit((t, key))
             # chain composition with every stored partner; a is never empty,
             # so the key is not its own partner
             bc = key & low
@@ -268,16 +270,16 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
                 for t2 in sorted(partners):
                     t = t2 | a << m2
                     if t not in store:
-                        emit((t, ("prod", key, t2)))
+                        emit((t, (key, t2)))
             partners = by_bc.get(bc | a)
             if partners:
                 for t1 in sorted(partners):
                     t = key | t1 & ~low
                     if t not in store:
-                        emit((t, ("prod", t1, key)))
+                        emit((t, (t1, key)))
 
-            for new_key, deriv in derived:
-                if add(new_key, deriv):
+            for new_key, src in derived:
+                if add(new_key, src):
                     layer.append(new_key)
                     if new_key == goal:
                         return finish(nd)
@@ -289,40 +291,37 @@ def identify(g: CausalGraph, inputs, query: Query, budget: SearchBudget | None =
 
 
 def _build(key, store, inputs, g: CausalGraph, memo=None):
+    """The functional of a stored key, read back through the keys it came from.
+
+    ``store[key]`` is ``~i`` for input i, ``(t1, t2)`` for a chain product or
+    the parent key of a one-parent move. A move whose a-bits left summed them
+    out, or conditioned on them when bits came in too; any other move that
+    let bits in is a rule move that keeps its parent's term, and one that
+    only let b- or c-bits out pinned them (rule 1 or 3 deletion).
+    """
     if memo is None:
         memo = {}
     got = memo.get(key)
     if got is not None:
         return got
-    deriv = store[key]
-    kind = deriv[0]
-    if kind == "input":
-        dist = inputs[deriv[1]]
-        out = InputRef(
-            deriv[1], tuple(sorted(dist.a)), tuple(sorted(dist.b)), tuple(sorted(dist.c))
-        )
-    elif kind == "marg":
-        vb, parent = deriv[1], deriv[2]
-        out = SumOver(tuple(sorted(g.names_of(vb))), _build(parent, store, inputs, g, memo))
-    elif kind == "cond":
-        vb, parent = deriv[1], deriv[2]
-        f = _build(parent, store, inputs, g, memo)
-        rest = parent >> 2 * g.n_observed & ~vb
-        out = Quotient(f, SumOver(tuple(sorted(g.names_of(rest))), f))
-    elif kind == "rule":
-        out = _build(deriv[1], store, inputs, g, memo)
-    elif kind == "pin":
-        child = _build(deriv[2], store, inputs, g, memo)
-        out = Pinned(tuple(sorted(g.names_of(deriv[1]))), child)
-    elif kind == "prod":
-        out = Product(
-            (
-                _build(deriv[1], store, inputs, g, memo),
-                _build(deriv[2], store, inputs, g, memo),
-            )
-        )
+    src = store[key]
+    if isinstance(src, tuple):
+        out = Product(tuple(_build(t, store, inputs, g, memo) for t in src))
+    elif src < 0:
+        dist = inputs[~src]
+        out = InputRef(~src, tuple(sorted(dist.a)), tuple(sorted(dist.b)), tuple(sorted(dist.c)))
     else:
-        raise AssertionError(f"unknown derivation {deriv!r}")
+        f = _build(src, store, inputs, g, memo)
+        m, gone, came = g.n_observed, src & ~key, key & ~src
+        summed = gone >> 2 * m
+        if summed and came:
+            out = Quotient(f, SumOver(tuple(sorted(g.names_of(src >> 2 * m & ~summed))), f))
+        elif summed:
+            out = SumOver(tuple(sorted(g.names_of(summed))), f)
+        elif came:
+            out = f
+        else:
+            out = Pinned(tuple(sorted(g.names_of((gone | gone >> m) & g.observed_mask))), f)
     memo[key] = out
     return out
 

@@ -23,9 +23,19 @@ from dofuse import (
 )
 from dofuse.distributions import cluster_inputs
 from dofuse.clustering import apply_cluster
-from dofuse.functional import InputRef, Product, SumOver, free_variables, to_json, from_json
-from dofuse.graph import _iter_bits, edge_cut
-from dofuse.identify import _Engine
+from dofuse.distributions import InputDistribution
+from dofuse.functional import (
+    InputRef,
+    Pinned,
+    Product,
+    Quotient,
+    SumOver,
+    free_variables,
+    from_json,
+    to_json,
+)
+from dofuse.graph import CausalGraph, _iter_bits, edge_cut
+from dofuse.identify import _build, _Engine
 from dofuse.pipeline import _cluster, run_pipeline
 from dofuse.simulate import SIM_BUDGET, generate_instance
 
@@ -487,3 +497,54 @@ def test_packed_key_layout():
                     t1 = pack(z, b, a | c)
                     assert t1 & low == key & low | a
                     assert key | t1 & ~low == pack(a | z, b, c)
+
+
+def test_build_reads_each_move_from_its_keys():
+    """``_build`` tells every move of ``test_packed_key_layout`` from its two keys alone.
+
+    Over m <= 3 observed vertices, from an input p(a | do(b), c): a-bits that
+    leave are summed out, or conditioned on when they enter c; b- or c-bits
+    that leave alone are pinned; every insertion and exchange keeps the
+    parent's term; and a chain is the product of its two factors.
+    """
+    for m in range(1, 4):
+        g = CausalGraph("ABC"[:m], [])
+
+        def pack(a, b, c):
+            return a << 2 * m | b << m | c
+
+        def names(mask):
+            return tuple(sorted(g.names_of(mask)))
+
+        for a in range(1, 1 << m):
+            for b in range(1 << m):
+                for c in range(1 << m):
+                    if a & b or a & c or b & c:
+                        continue
+                    key = pack(a, b, c)
+                    ref = InputRef(0, names(a), names(b), names(c))
+                    dists = [InputDistribution(ref.a, ref.b, ref.c)]
+
+                    def build(t, store=None):
+                        return _build(t, store or {key: ~0, t: key}, dists, g)
+
+                    for z in range(1, 1 << m):
+                        if z & a == z:
+                            assert build(key ^ z << 2 * m) == SumOver(names(z), ref)
+                            rest = SumOver(names(a & ~z), ref)
+                            assert build(key ^ z << 2 * m ^ z) == Quotient(ref, rest)
+                        if z & c == z:
+                            assert build(key ^ z) == Pinned(names(z), ref)
+                            assert build(key ^ (z << m | z)) == ref
+                        if z & b == z:
+                            assert build(key ^ z << m) == Pinned(names(z), ref)
+                            assert build(key ^ (z << m | z)) == ref
+                        if not z & (a | b | c):
+                            assert build(key | z) == ref
+                            assert build(key | z << m) == ref
+                            t1 = pack(z, b, a | c)
+                            ref1 = InputRef(1, names(z), names(b), names(a | c))
+                            dists[1:] = [InputDistribution(ref1.a, ref1.b, ref1.c)]
+                            t = pack(a | z, b, c)
+                            got = build(t, {key: ~0, t1: ~1, t: (t1, key)})
+                            assert got == Product((ref1, ref))
