@@ -59,8 +59,6 @@ class CausalGraph:
             raise GraphError(f"duplicate vertex id: {sorted(dup)[0]}")
         names = tuple(obs) + tuple(lats)
         index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise GraphError("duplicate vertex id")
         n = len(names)
         m = len(obs)
         par = [0] * n
@@ -302,11 +300,12 @@ def _names(text: str, error=GraphError) -> list:
 
     An id never holds ``|``, ``(`` or ``)``, so ``p(v)`` names the vertex ``v``;
     it never holds ``->`` and is not ``latent``, so an edge line parses the
-    same with the id at either end.
+    same with the id at either end; and it never holds ``:``, so a latent
+    line splits at its first colon whatever its ids.
     """
     names = text.replace(",", " ").split()
     for v in names:
-        if "|" in v or "(" in v or ")" in v or "->" in v or v == "latent":
+        if "|" in v or "(" in v or ")" in v or ":" in v or "->" in v or v == "latent":
             raise error(f"{v!r} is not a vertex id")
     return names
 

@@ -126,6 +126,25 @@ def test_edge_target_ids_are_edge_sources(name):
 
 
 @PROPERTY
+@given(st.sampled_from(TOKENS + ["a:b"]))
+@example("a:b")
+def test_latent_ids_survive_render(name):
+    # an id the parser accepts as a latent's name or as one of its children
+    # means that id, and render writes it back as itself
+    for text, g in (
+        (f"latent {name} : Q R", CausalGraph({"Q", "R"}, [], {name: ["Q", "R"]})),
+        (f"latent L : {name} Q R", CausalGraph({name, "Q", "R"}, [], {"L": [name, "Q", "R"]})),
+    ):
+        try:
+            parsed = parse_graph(text)
+        except GraphError:
+            continue
+        problem = ProblemFile(g, (parse_distribution("p(Q,R)"),), Query({"R"}, {"Q"}))
+        assert _parse_problem(problem.render()).graph == g
+        assert parsed == g
+
+
+@PROPERTY
 @given(problem_texts())
 def test_parse_problem_refuses_or_round_trips(text):
     try:
