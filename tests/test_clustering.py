@@ -4,15 +4,18 @@ import pytest
 from dofuse import (
     CausalGraph,
     GraphError,
+    SearchBudget,
     apply_cluster,
     check_single_layer,
     cluster_inputs,
     enumerate_transit_clusters,
     is_transit_cluster,
+    parse_distribution,
     parse_graph,
     parse_query,
     prune_all,
     receivers_emitters,
+    run_pipeline,
 )
 
 import oracles
@@ -146,6 +149,32 @@ def test_enumeration_guard():
     # forcing with a small max size stays within reach
     found = enumerate_transit_clusters(big, max_size=2, force=True)
     assert found
+
+
+CHAIN_23 = CausalGraph([f"V{i:02}" for i in range(23)], [(f"V{i:02}", f"V{i+1:02}") for i in range(22)])
+
+
+@pytest.mark.parametrize(
+    "g, inputs, query",
+    [
+        (parse_graph("X -> Y\nA -> B"), ("p(X,Y)", "p(A,B)"), "p(Y | do(X))"),
+        (CHAIN_23, ("p(" + ",".join(sorted(CHAIN_23.observed)) + ")",), "p(V22 | do(V00))"),
+    ],
+    ids=["disconnected", "over-the-enumeration-guard"],
+)
+def test_auto_clustering_falls_back_when_enumeration_refuses(g, inputs, query):
+    # enumeration refuses a disconnected graph and one of 23 vertices, so
+    # the automatic stage applies no cluster and the verdict is the
+    # unclustered one
+    with pytest.raises(GraphError):
+        enumerate_transit_clusters(g)
+    inputs = tuple(parse_distribution(s) for s in inputs)
+    query = parse_query(query)
+    budget = SearchBudget(max_terms=300)
+    auto = run_pipeline(g, inputs, query, budget, prune=False)
+    plain = run_pipeline(g, inputs, query, budget, prune=False, cluster=False)
+    assert auto.clusters == ()
+    assert (auto.status, auto.search, auto.functional) == (plain.status, plain.search, plain.functional)
 
 
 def test_apply_cluster_showcase():

@@ -4,12 +4,15 @@ import pytest
 from dofuse import (
     CausalGraph,
     GraphError,
+    Query,
     d_separated,
     edge_cut,
     induced_subgraph,
+    is_transit_cluster,
     parse_graph,
     relations,
 )
+from dofuse.distributions import DistributionError
 from dofuse.graph import cut_masks, dsep_masks, reach
 from dofuse.identify import _Engine
 
@@ -297,3 +300,50 @@ def test_topological_order():
     pos = {v: i for i, v in enumerate(order)}
     for p, c in fx.ILLUSTRATION_GRAPH.edge_list():
         assert pos[p] < pos[c]
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: CausalGraph(["X", "Y"], [("X", "Z")]), GraphError, "unknown vertex in edge X -> Z"),
+        (
+            lambda: CausalGraph(["X", "Y"], [("U", "X")], {"U": ["X", "Y"]}),
+            GraphError,
+            "latent vertex in explicit edge U -> X",
+        ),
+        (lambda: CausalGraph(["X"], [("X", "X")]), GraphError, "self-loop on X"),
+        (
+            lambda: CausalGraph(["X", "Y"], [], {"U": ["X"]}),
+            GraphError,
+            "latent U has fewer than two children",
+        ),
+        (
+            lambda: CausalGraph(["X", "Y"], [], {"U": ["X", "V"], "V": ["X", "Y"]}),
+            GraphError,
+            "latent U has non-observed child V",
+        ),
+        (lambda: Query(set(), {"X"}), DistributionError, "outcome set must be nonempty"),
+        (
+            lambda: Query({"Y"}, {"X", "Y"}),
+            DistributionError,
+            "outcome and intervention sets must be disjoint",
+        ),
+        (lambda: is_transit_cluster(fx.CLUSTER_GRAPH, ()), GraphError, "cluster must be nonempty"),
+        (
+            lambda: is_transit_cluster(fx.CLUSTER_GRAPH, fx.CLUSTER_GRAPH.names),
+            GraphError,
+            "cluster must be a proper subset of the vertices",
+        ),
+    ],
+    ids=[
+        "unknown-vertex", "latent-in-edge", "self-loop", "lone-latent-child",
+        "latent-child-not-observed", "empty-outcome", "outcome-meets-intervention",
+        "empty-cluster", "whole-graph-cluster",
+    ],
+)
+def test_declared_refusals(make, error, message):
+    # refusals of graphs, queries and clusters built through the API, where
+    # no parser stands in front of them
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message

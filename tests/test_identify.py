@@ -33,6 +33,7 @@ from dofuse.functional import (
     free_variables,
     from_json,
     to_json,
+    transform,
 )
 from dofuse.graph import CausalGraph, _iter_bits, edge_cut
 from dofuse.identify import _build, _Engine
@@ -242,10 +243,24 @@ def test_lift_clustering_identity_when_absent():
     assert lift_functional_clustering(mapping_free, mapping) == mapping_free
 
 
-def test_functional_json_round_trip():
+def _prune_showcase_functional():
     res = prune_all(fx.PRUNE_GRAPH, fx.PRUNE_INPUTS, fx.PRUNE_QUERY)
-    r = identify(res.graph, res.inputs, res.query)
-    f = canonicalize(r.functional)
+    return identify(res.graph, res.inputs, res.query).functional
+
+
+def _campaign_seed_0_functional():
+    # the lifted pipeline functional of campaign seed 0 holds all five node kinds
+    inst = generate_instance(0)
+    f = run_pipeline(inst.graph, inst.inputs, inst.query, SIM_BUDGET).functional
+    kinds = set()
+    transform(f, lambda node, kids: kinds.add(type(node)))
+    assert kinds == {InputRef, SumOver, Product, Quotient, Pinned}
+    return f
+
+
+@pytest.mark.parametrize("make", [_prune_showcase_functional, _campaign_seed_0_functional])
+def test_functional_json_round_trip(make):
+    f = canonicalize(make())
     assert canonicalize(from_json(to_json(f))) == f
 
 

@@ -123,6 +123,26 @@ def test_decide_invariance_rejects_query_overlap():
         )
 
 
+def test_decide_invariance_renames_a_taken_cluster_name():
+    inputs = tuple(parse_distribution(s) for s in fx.CLUSTER_CASES["ii"])
+    fresh = decide_invariance(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_S, Q_YX, False, t_name="S")
+    assert (fresh.status, fresh.basis) == (NON_IDENTIFIABLE, "verified_inputs")
+    for taken in ("X", "R"):  # a vertex outside the cluster, and a member
+        assert decide_invariance(
+            fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_S, Q_YX, False, t_name=taken
+        ) == fresh
+
+
+def test_decide_invariance_refuses_incompatible_inputs():
+    inputs = tuple(parse_distribution(s) for s in fx.CLUSTER_CASES["ii"])
+    with pytest.raises(GraphError) as info:
+        decide_invariance(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_T, Q_YX, False)
+    assert str(info.value) == (
+        "inputs are not compatible with the cluster: "
+        "no input contains the emitters of the cluster"
+    )
+
+
 def test_atherosclerosis_row1():
     q = parse_query("p(Y|do(L))")
     inputs = (parse_distribution("p(Y,L,H,S,M|B)"),)
