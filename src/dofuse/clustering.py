@@ -14,6 +14,9 @@ masks) then ``_verdict`` (the five conditions), with no walk of its own:
 and (e) are ``_closure`` over child and parent masks. Enumeration feeds it
 bitmask subsets of a graph checked connected once; ``is_transit_cluster``
 and ``_require_cluster``, the guard of every cluster operation, wrap it.
+Auto-clustering and the simulation campaign enumerate only the clusters that
+avoid the query (``avoid=``); ``dofuse clusters`` lists them all. The
+enumeration guard counts the subsets of the whole graph either way.
 """
 
 from __future__ import annotations
@@ -124,11 +127,15 @@ def is_transit_cluster(g: CausalGraph, t_members, *, require_connected: bool = T
     return _verdict(g, t, *_boundary(g, t))
 
 
-def enumerate_transit_clusters(g: CausalGraph, max_size: int | None = None, *, force=False):
+def enumerate_transit_clusters(
+    g: CausalGraph, max_size: int | None = None, *, force=False, avoid=frozenset()
+):
     """All verified transit clusters of size 2..max_size, lexicographic order.
 
-    Brute-force subset enumeration; refuses above 2^22 candidate subsets
-    unless forced.
+    Brute-force subset enumeration over the vertices outside ``avoid`` (ids
+    not in ``g`` are ignored), so the result is exactly the clusters that
+    avoid it. The guard still counts the subsets of the whole graph: it
+    refuses above 2^22 of them unless forced, whatever ``avoid`` holds.
     """
     if not g.is_connected():
         raise GraphError("transit clusters are defined on connected graphs")
@@ -139,9 +146,9 @@ def enumerate_transit_clusters(g: CausalGraph, max_size: int | None = None, *, f
         raise GraphError(
             f"{total} candidate subsets exceed the enumeration budget; pass force=True"
         )
-    bits = [1 << g._index[name] for name in sorted(g.names)]
+    bits = [1 << g._index[name] for name in sorted(g.names) if name not in avoid]
     out = []
-    for k in range(2, top + 1):
+    for k in range(2, min(top, len(bits)) + 1):
         for combo in combinations(bits, k):
             t = sum(combo)
             rec, em = _boundary(g, t)

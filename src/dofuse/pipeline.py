@@ -103,13 +103,15 @@ def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
     One refusal path: a cluster that overlaps an earlier one, meets the
     query, is not a transit cluster of the graph so far or whose inputs are
     incompatible raises ``GraphError``. A requested cluster passes it on to
-    the caller; an automatic candidate is skipped. An automatic name is the
-    first free ``T{k}``.
+    the caller; an automatic candidate is skipped. Automatic candidates are
+    enumerated with ``avoid=query.x | query.y``, so none meets the query;
+    the enumeration guard still counts the whole graph. An automatic name is
+    the first free ``T{k}``.
     """
     auto = requested is None
     if auto:
         try:
-            found = enumerate_transit_clusters(g)
+            found = enumerate_transit_clusters(g, avoid=query.x | query.y)
         except GraphError:  # disconnected, or over the enumeration guard
             found = []
         found.sort(key=lambda c: (-len(c.members), tuple(sorted(c.members))))

@@ -74,3 +74,18 @@ def test_cluster_stage_calls_through_pipeline_globals(monkeypatch, tmp_path, cal
         monkeypatch.setattr(pipeline, name, counted)
     caller(tmp_path)
     assert all(calls.values()), calls
+
+
+def test_auto_clustering_enumerates_only_clusters_that_avoid_the_query(monkeypatch):
+    calls = []
+    enumerate_all = pipeline.enumerate_transit_clusters
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("avoid"))
+        return enumerate_all(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "enumerate_transit_clusters", counted)
+    inputs = [parse_distribution(s) for s in fx.CLUSTER_CASES["iii"]]
+    result = pipeline.run_pipeline(fx.CLUSTER_GRAPH, inputs, fx.CLUSTER_QUERY)
+    assert calls == [result.prune.query.x | result.prune.query.y]
+    assert len(result.clusters) == 2

@@ -140,6 +140,31 @@ def test_enumerate_matches_subset_loop():
     assert with_latent_member
 
 
+def test_enumerate_avoid_is_the_filtered_full_list():
+    rng = np.random.default_rng(19)
+    for i in range(15):
+        g = oracles.random_connected_dag(rng, 5 + i % 2, 0.45, n_latents=1 + i % 2)
+        names = sorted(g.names)
+        picked = rng.choice(len(names), size=1 + i % 3, replace=False)
+        avoid = frozenset(names[j] for j in picked)
+        full = enumerate_transit_clusters(g)
+        want = [c for c in full if not c.members & avoid]
+        assert enumerate_transit_clusters(g, avoid=avoid) == want
+        # ids that are not vertices of g are ignored
+        assert enumerate_transit_clusters(g, avoid=avoid | {"absent"}) == want
+        assert enumerate_transit_clusters(g, avoid=frozenset({"absent"})) == full
+
+
+def test_enumeration_guard_counts_the_whole_graph():
+    # avoiding most of the chain leaves few subsets, yet the guard still
+    # counts all 23 vertices, so auto-clustering refuses where it always did
+    avoid = frozenset(sorted(CHAIN_23.names)[2:])
+    with pytest.raises(GraphError, match="budget"):
+        enumerate_transit_clusters(CHAIN_23, avoid=avoid)
+    found = enumerate_transit_clusters(CHAIN_23, avoid=avoid, force=True)
+    assert [sorted(c.members) for c in found] == [["V00", "V01"]]
+
+
 def test_enumeration_guard():
     big = CausalGraph(
         [f"V{i}" for i in range(40)], [(f"V{i}", f"V{i+1}") for i in range(39)]

@@ -285,6 +285,18 @@ def test_cli_simulate_smoke(tmp_path, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--workers", "-3"], "need at least one worker"), (["--timeout", "-1"], "timeout must be positive")],
+    ids=["workers", "timeout"],
+)
+def test_cli_simulate_refuses_bad_settings(capsys, flags, message):
+    assert main(["simulate", "--instances", "2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_human_output(tmp_path, capsys):
     path = _write(tmp_path, SMALL)
     rc = main(["identify", "-f", path])
