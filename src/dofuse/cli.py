@@ -78,6 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser for every ``main`` call, built at import. Each ``add_argument``
+# leaves an argparse help formatter in a reference cycle, so a parser per call
+# would leave garbage that pins freed memory until a full collection.
+_PARSER = build_parser()
+
+
 def cmd_prune(args) -> int:
     problem = load_problem(args.file)
     result = prune_all(problem.graph, problem.inputs, problem.query)
@@ -217,9 +223,8 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     handlers = {

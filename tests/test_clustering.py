@@ -155,16 +155,6 @@ def test_enumerate_avoid_is_the_filtered_full_list():
         assert enumerate_transit_clusters(g, avoid=frozenset({"absent"})) == full
 
 
-def test_enumeration_guard_counts_the_whole_graph():
-    # avoiding most of the chain leaves few subsets, yet the guard still
-    # counts all 23 vertices, so auto-clustering refuses where it always did
-    avoid = frozenset(sorted(CHAIN_23.names)[2:])
-    with pytest.raises(GraphError, match="budget"):
-        enumerate_transit_clusters(CHAIN_23, avoid=avoid)
-    found = enumerate_transit_clusters(CHAIN_23, avoid=avoid, force=True)
-    assert [sorted(c.members) for c in found] == [["V00", "V01"]]
-
-
 def test_enumeration_guard():
     big = CausalGraph(
         [f"V{i}" for i in range(40)], [(f"V{i}", f"V{i+1}") for i in range(39)]
@@ -200,6 +190,16 @@ def test_auto_clustering_falls_back_when_enumeration_refuses(g, inputs, query):
     plain = run_pipeline(g, inputs, query, budget, prune=False, cluster=False)
     assert auto.clusters == ()
     assert (auto.status, auto.search, auto.functional) == (plain.status, plain.search, plain.functional)
+
+
+def test_enumeration_guard_counts_the_whole_graph():
+    # avoiding most of the chain leaves few subsets, yet the guard still
+    # counts all 23 vertices, so auto-clustering refuses where it always did
+    avoid = frozenset(sorted(CHAIN_23.names)[2:])
+    with pytest.raises(GraphError, match="budget"):
+        enumerate_transit_clusters(CHAIN_23, avoid=avoid)
+    found = enumerate_transit_clusters(CHAIN_23, avoid=avoid, force=True)
+    assert [sorted(c.members) for c in found] == [["V00", "V01"]]
 
 
 def test_apply_cluster_showcase():

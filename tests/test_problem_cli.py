@@ -1,3 +1,4 @@
+import gc
 import json
 from itertools import count
 from pathlib import Path
@@ -295,6 +296,21 @@ def test_cli_simulate_refuses_bad_settings(capsys, flags, message):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == f"error: {message}\n"
+
+
+def test_cli_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # argparse leaves a help formatter in a cycle per add_argument, so a
+    # parser built per call would leave about 280 objects of garbage each time
+    path = _write(tmp_path, SMALL)
+    assert main(["clusters", "-f", path]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["clusters", "-f", path]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_cli_human_output(tmp_path, capsys):
