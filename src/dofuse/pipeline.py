@@ -104,9 +104,9 @@ def _apply_clusters(g, inputs, query: Query, requested=None) -> tuple:
     query, is not a transit cluster of the graph so far or whose inputs are
     incompatible raises ``GraphError``. A requested cluster passes it on to
     the caller; an automatic candidate is skipped. Automatic candidates are
-    enumerated with ``avoid=query.x | query.y``, so none meets the query;
-    the enumeration guard still counts the whole graph. An automatic name is
-    the first free ``T{k}``.
+    enumerated with ``avoid=query.x | query.y``, so none meets the query
+    (``dofuse clusters`` lists every cluster); the enumeration guard still
+    counts the whole graph. An automatic name is the first free ``T{k}``.
     """
     auto = requested is None
     if auto:

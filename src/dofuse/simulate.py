@@ -217,8 +217,8 @@ def simulate_instance(
     """One record: generate, search both strategies, classify by the pipeline's verdict.
 
     ``t_clustered_ms`` covers the cluster enumeration that auto-clustering
-    runs: only the clusters that avoid the query, over a guard that counts
-    the whole graph.
+    runs: only the clusters that avoid the query, under a guard that counts
+    the whole graph, where ``dofuse clusters`` lists every cluster.
     """
     inst = generate_instance(seed)
     size = len(inst.graph.names)
